@@ -9,8 +9,16 @@ scaling work (sharding, multi-backend) plugs into.
 Store layout
 ------------
 Persistence lives behind the :class:`~repro.service.store.StoreBackend`
-interface. The single-directory backend,
-:class:`~repro.service.store.PulseStore`, persists::
+interface. A backend implements six core methods — ``keys``,
+``snapshot``, ``get_many(keys, peek=False)``, ``put_many(entries,
+flush=True)``, ``flush`` and ``claim_fingerprint`` — plus a ``stats``
+attribute. The base class derives the rest once for every backend:
+``get``/``get_key``/``peek_key`` (one-key ``get_many``), ``put`` (one-entry
+``put_many``), ``len`` and ``in``, ``revalidate`` (retrain from one
+snapshot, write back with one ``put_many``), and a no-op
+``add_eviction_guard`` that only locally bounded stores override. The
+single-directory backend, :class:`~repro.service.store.PulseStore`,
+persists::
 
     <root>/manifest.json          {"version": 1, "entries": {keyhex: meta}}
     <root>/entries/<keyhex>.json  one LibraryEntry each (entry_to_dict)
@@ -33,9 +41,10 @@ host, and a ``|``-separated replica list inside a route —
 ``remote://h1a:p|h1b:p`` — a
 :class:`~repro.service.replication.ReplicatedStore`: ordered failover
 reads, fan-out writes under a per-route write concern, anti-entropy /
-``repro store repair`` re-sync). Batch reads go
-through ``get_many``/``put_many`` wire verbs, one round trip per host
-instead of per key. Wire failures retry under a bounded jittered
+``repro store repair`` re-sync). Every entry read and write crosses the
+wire as a ``get_many``/``put_many`` frame, one round trip per host
+instead of per key: a batch re-checks its claims with one ``get_many``
+and persists everything it solved with one ``put_many``. Wire failures retry under a bounded jittered
 exponential backoff (:class:`~repro.service.remote.RetryPolicy`,
 tunable per route via ``?retries=&backoff=&cap=``) and then degrade to
 misses — a dead store server makes the service slower, never wrong.

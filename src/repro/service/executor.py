@@ -369,13 +369,10 @@ class WorkerPoolExecutor:
         Returns a dense list aligned with ``plan.uncovered``; vertices not in
         ``wanted`` get ``None`` slots the caller fills from coalesced futures.
 
-        ``snapshot`` is the frozen warm-seed source: a
-        :class:`~repro.core.cache.PulseLibrary`, or any store backend with
-        a ``snapshot()`` method — a sharded store freezes per-shard
-        snapshots (each under its own shard lock) and merges them here.
+        ``snapshot`` is the frozen warm-seed source: the
+        :class:`~repro.core.cache.PulseLibrary` the caller took from its
+        store at batch start.
         """
-        if hasattr(snapshot, "snapshot"):  # a StoreBackend: freeze it now
-            snapshot = snapshot.snapshot()
         wanted_set = set(wanted)
         parts: List[Tuple[int, List[GroupTask]]] = []
         part_weights: List[float] = []

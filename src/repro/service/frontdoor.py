@@ -617,9 +617,10 @@ def store_stats_summary(store) -> dict:
     durable facts are the entry totals and per-shard convergence split.
     The ``replicas`` rows (replicated routes only) carry each replica's
     own wire counters plus the failovers it caused — an unhealthy replica
-    is visible here before it pages anyone.
+    is visible here before it pages anyone. Entries are read with one
+    peeking ``get_many`` (one frame per host, not one RPC per key).
     """
-    entries = [store.peek_key(key) for key in store.keys()]
+    entries = store.get_many(store.keys(), peek=True)
     per_shard = store.stats_by_shard()
     shards = getattr(store, "shards", [store])
     return {

@@ -8,8 +8,8 @@ Two halves, cashing in the two extension seams the service layer left:
   (``--store remote://host:port``). Wire failures *degrade, never crash*:
   after a bounded, jittered exponential-backoff retry (see
   :class:`RetryPolicy` — reconnect between attempts, deadline-aware so one
-  RPC can never stall a batch past its time budget), a ``get`` becomes a
-  miss, a ``put`` is dropped (the solve's record is still returned to the
+  RPC can never stall a batch past its time budget), a read becomes a
+  miss, a write is dropped (the solve's record is still returned to the
   client — only the cache write is lost), a ``snapshot`` comes back empty.
   Degradations are counted (``stats.degraded``) so an unhealthy store is
   visible in every batch report rather than silently slow. The engine-
@@ -52,9 +52,10 @@ Per-hop wire timings surface in ``repro perf``: every remote part outcome
 carries a ``wire`` stage (round-trip minus worker compute, i.e. transport
 + serialization), reported as ``execute.worker<k>.wire`` in the batch
 breakdown, and every :class:`RemoteStore` RPC is timed under
-``<stat_prefix>rpc`` (per-key verbs) or ``<stat_prefix>batched_rpc``
-(one ``get_many``/``put_many`` frame per host per batch read phase) in
-its perf recorder, with per-verb ``<stat_prefix>ops.<op>`` counters.
+``<stat_prefix>batched_rpc`` (one ``get_many``/``put_many`` frame — every
+entry read and write goes through these) or ``<stat_prefix>rpc`` (the
+other verbs) in its perf recorder, with per-verb
+``<stat_prefix>ops.<op>`` counters.
 
 Replication lives one layer up:
 :class:`~repro.service.replication.ReplicatedStore` composes the
@@ -76,12 +77,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
-from repro.core.cache import (
-    CoverageReport,
-    LibraryEntry,
-    PulseLibrary,
-)
-from repro.grouping.group import GateGroup
+from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.executor import GroupTask, PartOutcome, run_part
 from repro.service.scheduler import (
@@ -89,12 +85,7 @@ from repro.service.scheduler import (
     FabricScheduler,
     ScheduledPart,
 )
-from repro.service.store import (
-    StoreBackend,
-    StoreStats,
-    StoreVersionError,
-    key_digest,
-)
+from repro.service.store import StoreBackend, StoreStats, StoreVersionError
 from repro.service.storeserver import MAX_BATCH_KEYS, decode_entry, encode_entry
 
 REMOTE_SCHEME = "remote://"
@@ -261,28 +252,6 @@ def parse_remote_spec(spec: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-def coverage_from_keys(
-    held: "set[bytes]", groups: Sequence[GateGroup]
-) -> CoverageReport:
-    """Coverage resolved client-side from one ``keys`` round trip (the
-    canonical key already folds wire permutation, same as local). Shared
-    by the wire-backed stores, where a per-group peek would be a
-    serialized RTT per group."""
-    covered = 0
-    uncovered: Dict[bytes, GateGroup] = {}
-    for group in groups:
-        key = group.key()
-        if key in held:
-            covered += 1
-        else:
-            uncovered.setdefault(key, group)
-    return CoverageReport(
-        n_groups=len(groups),
-        n_covered=covered,
-        uncovered_unique=list(uncovered.values()),
-    )
-
-
 def split_replicas(spec: str) -> List[str]:
     """``remote://h1a:p|h1b:p`` -> the ordered replica specs of one shard.
 
@@ -332,7 +301,7 @@ class RemoteStore(StoreBackend):
     one-lock behavior of a local :class:`~repro.service.store.PulseStore`.
     ``stats`` counts *this client's* traffic — the server keeps its own.
 
-    ``add_eviction_guard`` is a local no-op: eviction policy (and any
+    ``add_eviction_guard`` keeps the base no-op: eviction policy (and any
     bound) lives with the server's store, which cannot see this client's
     in-flight claims. Run remote stores unbounded, or bound them knowing
     eviction is advisory across hosts — same caveat as two local writers.
@@ -434,8 +403,8 @@ class RemoteStore(StoreBackend):
         stall. Raises :class:`RemoteUnavailable` once the policy gives up
         (the public methods translate that into their degraded result),
         and :class:`StoreVersionError` on a server-side fingerprint
-        refusal. Timed under ``<stat_prefix><stage>`` (``rpc`` for per-key
-        ops, ``batched_rpc`` for get_many/put_many frames), with a per-op
+        refusal. Timed under ``<stat_prefix><stage>`` (``batched_rpc`` for
+        get_many/put_many frames, ``rpc`` for the rest), with a per-op
         counter (``<stat_prefix>ops.<op>``) so a perf report shows *which*
         verbs crossed the wire and how often — the O(shards)-not-O(keys)
         claim for batched reads is asserted against exactly these names.
@@ -469,11 +438,8 @@ class RemoteStore(StoreBackend):
             self.stats.degraded += 1
         self.perf.count(self.stat_prefix + "degraded")
 
-    def _count(self, field: str) -> None:
-        """One stats increment, serialized (read-modify-write races)."""
-        self._count_n(field, 1)
-
     def _count_n(self, field: str, n: int) -> None:
+        """Stats increment, serialized (read-modify-write races)."""
         if n <= 0:
             return
         with self._lock:
@@ -510,30 +476,23 @@ class RemoteStore(StoreBackend):
             library.add(decode_entry(payload))
         return library
 
-    def fetch_key(self, key: bytes, peek: bool = False) -> Optional[LibraryEntry]:
-        op = "peek" if peek else "get"
-        response = self._rpc({"op": op, "key": key.hex()})
-        if response["entry"] is None:
-            return None
-        return decode_entry(response["entry"])
-
-    def fetch_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
-        """One ``get_many`` round trip (chunked at the server's frame cap)."""
+    def fetch_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]:
+        """One ``get_many`` round trip (chunked at the server's frame cap);
+        ``peek`` asks the server to skip hit/miss accounting."""
         entries: List[Optional[LibraryEntry]] = []
         for start in range(0, len(keys), MAX_BATCH_KEYS):
             chunk = keys[start:start + MAX_BATCH_KEYS]
-            response = self._rpc(
-                {"op": "get_many", "keys": [k.hex() for k in chunk]},
-                stage="batched_rpc",
-            )
+            payload = {"op": "get_many", "keys": [k.hex() for k in chunk]}
+            if peek:
+                payload["peek"] = True
+            response = self._rpc(payload, stage="batched_rpc")
             entries.extend(
                 decode_entry(p) if p is not None else None
                 for p in response["entries"]
             )
         return entries
-
-    def send_put(self, entry: LibraryEntry, flush: bool = True) -> None:
-        self._rpc({"op": "put", "entry": encode_entry(entry), "flush": flush})
 
     def send_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
         """One ``put_many`` round trip (chunked; the last chunk flushes)."""
@@ -552,12 +511,6 @@ class RemoteStore(StoreBackend):
         self._rpc({"op": "flush"})
 
     # ------------------------------------------------------------------ api
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __contains__(self, group: GateGroup) -> bool:
-        return self.peek_key(group.key()) is not None
-
     def keys(self) -> List[bytes]:
         try:
             return self.fetch_keys()
@@ -574,51 +527,26 @@ class RemoteStore(StoreBackend):
             self._degrade()
             return PulseLibrary()
 
-    def library(self) -> PulseLibrary:
-        """Alias for :meth:`snapshot` (remote has no live in-memory view)."""
-        return self.snapshot()
-
-    def get_key(self, key: bytes) -> Optional[LibraryEntry]:
-        try:
-            entry = self.fetch_key(key)
-        except RemoteUnavailable:
-            self._degrade()
-            self._count("misses")
-            return None
-        self._count("hits" if entry is not None else "misses")
-        return entry
-
-    def get_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
-        """Batched reads: one ``get_many`` RPC instead of ``len(keys)``
-        ``get`` round trips, same per-key hit/miss accounting. A dead wire
-        degrades the whole frame to misses (one ``degraded`` bump)."""
+    def get_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]:
+        """One ``get_many`` RPC per :data:`MAX_BATCH_KEYS` keys, per-key
+        hit/miss accounting (none for ``peek``). A dead wire degrades the
+        whole frame to misses (one ``degraded`` bump)."""
         if not keys:
             return []
         try:
-            entries = self.fetch_many(keys)
+            entries = self.fetch_many(keys, peek)
         except RemoteUnavailable:
             self._degrade()
-            self._count_n("misses", len(keys))
+            if not peek:
+                self._count_n("misses", len(keys))
             return [None] * len(keys)
-        hits = sum(1 for e in entries if e is not None)
-        self._count_n("hits", hits)
-        self._count_n("misses", len(entries) - hits)
+        if not peek:
+            hits = sum(1 for e in entries if e is not None)
+            self._count_n("hits", hits)
+            self._count_n("misses", len(entries) - hits)
         return entries
-
-    def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
-        try:
-            return self.fetch_key(key, peek=True)
-        except RemoteUnavailable:
-            self._degrade()
-            return None
-
-    def put(self, entry: LibraryEntry, flush: bool = True) -> None:
-        try:
-            self.send_put(entry, flush)
-        except RemoteUnavailable:
-            self._degrade()  # cache write lost; the caller keeps its record
-            return
-        self._count("puts")
 
     def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
         if not entries:
@@ -626,7 +554,7 @@ class RemoteStore(StoreBackend):
         try:
             self.send_many(entries, flush)
         except RemoteUnavailable:
-            self._degrade()
+            self._degrade()  # cache write lost; the caller keeps its record
             return
         self._count_n("puts", len(entries))
 
@@ -636,16 +564,12 @@ class RemoteStore(StoreBackend):
         except RemoteUnavailable:
             self._degrade()
 
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """One ``keys`` round trip, membership client-side."""
-        return coverage_from_keys(set(self.keys()), groups)
-
     def claim_fingerprint(self, fingerprint: str) -> None:
         """Server-side guard: mismatch raises loudly; an unreachable
         server degrades — but the identity is remembered and re-asserted
         by every subsequent (re)connection before any other traffic, so a
         claim absorbed while the server was down can never leave a later
-        ``put`` unguarded."""
+        write unguarded."""
         with self._lock:
             self._fingerprint = str(fingerprint)
             try:
@@ -654,15 +578,6 @@ class RemoteStore(StoreBackend):
                 )
             except RemoteUnavailable:
                 self._degrade()
-
-    def add_eviction_guard(self, guard) -> None:
-        """No-op: eviction is the server's policy (see class docstring)."""
-
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Hygiene pass with the compute on this side of the wire: pull the
-        snapshot, retrain non-converged entries locally (same warm start
-        and seed tag as the server-side pass), push the results back."""
-        return revalidate_via_snapshot(self, engine, budget)
 
     def fingerprints(self) -> List[str]:
         """The server store's engine stamps (empty when unreachable, or
@@ -699,59 +614,6 @@ class RemoteStore(StoreBackend):
             "non_converged": response.get("non_converged"),
             "orphans": response.get("orphans"),
         }
-
-
-def revalidate_via_snapshot(store, engine, budget: int) -> Dict[str, int]:
-    """Client-side retrain of a wire-backed store's non-converged entries.
-
-    Pulls ``store.snapshot()``, retrains locally with the same warm start
-    and seed tag as the server-side pass, and pushes every result back in
-    one ``put_many`` frame — not a retrain loop's worth of per-key round
-    trips. Shared by :class:`RemoteStore` and
-    :class:`~repro.service.replication.ReplicatedStore` (where the
-    snapshot is a failover read and the push-back fans out to every live
-    replica).
-    """
-    from repro.core.engines import compile_with_engine
-    from repro.service.executor import seed_tag_for
-
-    candidates = sorted(
-        (e for e in store.snapshot().entries() if not e.converged),
-        key=lambda e: key_digest(e.group.key()),
-    )
-    spent = retrained = converged = 0
-    updated: List[LibraryEntry] = []
-    for entry in candidates:
-        if spent >= budget:
-            break
-        record = compile_with_engine(
-            engine,
-            entry.group,
-            warm_pulse=entry.pulse,
-            warm_source=entry.group,
-            seed_tag=seed_tag_for(entry.group),
-        )
-        spent += record.iterations
-        retrained += 1
-        if record.converged:
-            converged += 1
-        updated.append(
-            LibraryEntry(
-                group=entry.group,
-                pulse=record.pulse,
-                latency=record.latency,
-                iterations=entry.iterations + record.iterations,
-                converged=record.converged,
-            )
-        )
-    if updated:
-        store.put_many(updated)
-    return {
-        "retrained": retrained,
-        "converged": converged,
-        "iterations": spent,
-        "remaining": len(candidates) - retrained,
-    }
 
 
 # ---------------------------------------------------------------- executor

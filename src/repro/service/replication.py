@@ -8,8 +8,9 @@ every listed host. :class:`ReplicatedStore` is the
 the raising ``fetch_*``/``send_*`` wire primitives of
 :class:`~repro.service.remote.RemoteStore`:
 
-* **Reads fail over in order.** ``get``/``get_many``/``peek``/``keys``/
-  ``snapshot`` try replica 0 first and walk down the list on a wire
+* **Reads fail over in order.** ``get_many`` (and so every derived
+  ``get``/``peek``), ``keys`` and ``snapshot`` try replica 0 first and
+  walk down the list on a wire
   failure; each skip is counted per replica (``stats.failovers``,
   ``stats_by_replica``), so a limping primary is visible in every batch
   report. Only when *every* replica is unreachable does the read degrade
@@ -17,8 +18,9 @@ the raising ``fetch_*``/``send_*`` wire primitives of
   correct, just slower. Never wrong, never down while one replica lives.
 
 * **Writes fan out to every replica, under a per-route write concern.**
-  ``remote://h1a:p|h1b:p?w=majority`` sets the quorum a ``put``/
-  ``put_many``/``flush`` must reach before it counts as acknowledged:
+  ``remote://h1a:p|h1b:p?w=majority`` sets the quorum a ``put_many``
+  (and so ``put``) or ``flush`` must reach before it counts as
+  acknowledged:
 
   - ``w=1`` (the default) keeps the original best-effort semantics — a
     write that reaches at least one live replica is durable, one that
@@ -58,8 +60,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
-from repro.core.cache import CoverageReport, LibraryEntry, PulseLibrary
-from repro.grouping.group import GateGroup
+from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.remote import (
     WRITE_CONCERNS,
@@ -67,10 +68,8 @@ from repro.service.remote import (
     RemoteStoreStats,
     RemoteUnavailable,
     RetryPolicy,
-    coverage_from_keys,
     parse_route,
     retry_from_params,
-    revalidate_via_snapshot,
     split_replicas,
 )
 from repro.service.store import StoreBackend
@@ -262,12 +261,6 @@ class ReplicatedStore(StoreBackend):
             f"unreachable"
         ) from last
 
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __contains__(self, group: GateGroup) -> bool:
-        return self.peek_key(group.key()) is not None
-
     def keys(self) -> List[bytes]:
         try:
             return self._failover_read(lambda r: r.fetch_keys())
@@ -282,43 +275,23 @@ class ReplicatedStore(StoreBackend):
             self._degrade()
             return PulseLibrary()
 
-    def library(self) -> PulseLibrary:
-        return self.snapshot()
-
-    def get_key(self, key: bytes) -> Optional[LibraryEntry]:
-        try:
-            entry = self._failover_read(lambda r: r.fetch_key(key))
-        except RemoteUnavailable:
-            self._degrade()
-            self._count_n("misses", 1)
-            return None
-        self._count_n("hits" if entry is not None else "misses", 1)
-        return entry
-
-    def get_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
+    def get_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]:
         if not keys:
             return []
         try:
-            entries = self._failover_read(lambda r: r.fetch_many(keys))
+            entries = self._failover_read(lambda r: r.fetch_many(keys, peek))
         except RemoteUnavailable:
             self._degrade()
-            self._count_n("misses", len(keys))
+            if not peek:
+                self._count_n("misses", len(keys))
             return [None] * len(keys)
-        hits = sum(1 for e in entries if e is not None)
-        self._count_n("hits", hits)
-        self._count_n("misses", len(entries) - hits)
+        if not peek:
+            hits = sum(1 for e in entries if e is not None)
+            self._count_n("hits", hits)
+            self._count_n("misses", len(entries) - hits)
         return entries
-
-    def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
-        try:
-            return self._failover_read(lambda r: r.fetch_key(key, peek=True))
-        except RemoteUnavailable:
-            self._degrade()
-            return None
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """One ``keys`` round trip (failover), membership client-side."""
-        return coverage_from_keys(set(self.keys()), groups)
 
     def fingerprints(self) -> List[str]:
         """Union of every *reachable* replica's engine stamps — unlike
@@ -379,14 +352,6 @@ class ReplicatedStore(StoreBackend):
             self.address, self.quorum, delivered, len(self.replicas)
         )
 
-    def put(self, entry: LibraryEntry, flush: bool = True) -> None:
-        delivered = self._fan_out_write(
-            lambda r: r.send_put(entry, flush), puts_per_delivery=1
-        )
-        if delivered:
-            self._count_n("puts", 1)
-        self._check_quorum(delivered, 1)
-
     def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
         if not entries:
             return
@@ -402,14 +367,9 @@ class ReplicatedStore(StoreBackend):
         """Flush every replica; the write concern applies here too — a
         flush that cannot reach quorum under ``w>=majority`` raises (the
         deferred manifest state it was meant to make durable is not)."""
-        delivered = 0
-        for replica in self.replicas:
-            try:
-                replica.send_flush()
-            except RemoteUnavailable:
-                replica._degrade()
-                continue
-            delivered += 1
+        delivered = self._fan_out_write(
+            lambda r: r.send_flush(), puts_per_delivery=0
+        )
         self._check_quorum(delivered, 0)
 
     def claim_fingerprint(self, fingerprint: str) -> None:
@@ -418,12 +378,6 @@ class ReplicatedStore(StoreBackend):
         reconnect handshake (see :meth:`RemoteStore.claim_fingerprint`)."""
         for replica in self.replicas:
             replica.claim_fingerprint(fingerprint)
-
-    def add_eviction_guard(self, guard) -> None:
-        """No-op: eviction is each store server's policy."""
-
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        return revalidate_via_snapshot(self, engine, budget)
 
     # --------------------------------------------------------------- repair
     def repair(self) -> Dict:

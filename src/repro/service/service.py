@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import Circuit
 from repro.core.cache import LibraryEntry
@@ -199,70 +199,69 @@ class CompileService:
     def _execute(
         self, plan: BatchPlan, snapshot, perf: PerfRecorder
     ) -> Tuple[List[CompileRecord], List[CompileRecord], Dict[str, int]]:
-        """Solve uncovered + trivial groups with claim/salvage semantics.
+        """Solve uncovered + trivial groups, then persist them in one write.
 
-        Every key is claimed in the coalescer first. A claim can still be
-        *salvaged* from the live store: another batch may have persisted the
-        key between this batch's snapshot and its claim — without the
-        re-check that window would compile (and pay for) the group twice.
-        The re-check is one ``get_many`` over every key this batch owns
-        (one read RPC per remote shard, not one per key); a failed batch
-        must still fail every claim it took, so the batched lookup runs
-        inside the same protected region as the solves.
+        Both kinds go through :meth:`_claim_and_solve`: uncovered groups on
+        the worker pool, virtual-diagonal (trivial) groups inline. The
+        records this batch solved — uncovered first, then trivial — are
+        written with one ``put_many(flush=False)`` (one write RPC per remote
+        shard, not one per key) and one manifest ``flush``. Owned claims
+        resolve only after that ``put_many`` returns: until then every key
+        of the batch stays in the store's eviction guard, and a write that
+        fails — a ``QuorumError`` from a write concern, a full disk — fails
+        every claim still held instead of stranding the batches coalesced
+        onto them. Claims held by other batches are awaited last, once this
+        batch holds none, so two batches can never wait on each other.
         """
-        pending: List[Tuple[int, GateGroup]] = []
-        waiting: Dict[int, "Future"] = {}
-        for vertex, group in enumerate(plan.uncovered):
-            is_owner, future = self.coalescer.claim(group.key())
-            if is_owner:
-                pending.append((vertex, group))
-            else:
-                waiting[vertex] = future
-        owned: List[int] = []
-        salvaged: Dict[int, CompileRecord] = {}
-        resolved: set = set()
+        held: Set[bytes] = set()  # claimed, not yet resolved
         try:
-            with perf.stage("service.store"):
-                live = self.store.get_many([g.key() for _, g in pending])
-            for (vertex, group), entry in zip(pending, live):
-                if entry is None:
-                    owned.append(vertex)
-                    continue
-                record = _record_from_entry(entry)
-                self.coalescer.resolve(group.key(), record)
-                salvaged[vertex] = record
-            # Constructed inside the protected region: an invalid backend or
-            # warm spec must fail the claims too, not strand them.
-            executor = WorkerPoolExecutor(
-                self.engine,
-                backend=self.backend,
-                n_workers=self.n_workers,
-                similarity=self.config.similarity,
-                warm=self.warm,
-                perf=perf,
+            records, waiting, owned = self._claim_and_solve(
+                plan.uncovered,
+                lambda vertices: self._solve_on_pool(plan, snapshot, vertices, perf),
+                held,
+                perf,
             )
-            with perf.stage("service.execute"):
-                records = executor.run_indices(plan, snapshot, owned)
+            trivial_records, trivial_waiting, trivial_owned = self._claim_and_solve(
+                plan.trivial,
+                lambda indices: [
+                    compile_with_engine(
+                        self.engine,
+                        plan.trivial[i],
+                        seed_tag=seed_tag_for(plan.trivial[i]),
+                    )
+                    for i in indices
+                ],
+                held,
+                perf,
+            )
+            solved = [(plan.uncovered[v], records[v]) for v in owned] + [
+                (plan.trivial[i], trivial_records[i]) for i in trivial_owned
+            ]
             with perf.stage("service.store"):
-                for vertex in owned:
-                    self._persist(plan.uncovered[vertex], records[vertex])
-                    resolved.add(vertex)
-            trivial_records = self._compile_trivial(plan, perf)
-            with perf.stage("service.store"):
+                self.store.put_many(
+                    [
+                        LibraryEntry(
+                            group=group,
+                            pulse=record.pulse,
+                            latency=record.latency,
+                            iterations=record.iterations,
+                            converged=record.converged,
+                        )
+                        for group, record in solved
+                    ],
+                    flush=False,
+                )
+                for group, record in solved:
+                    held.remove(group.key())
+                    self.coalescer.resolve(group.key(), record)
                 self.store.flush()  # one manifest rewrite per batch
         except BaseException as error:
-            # Never strand a claim: every claimed key that was neither
-            # salvaged nor resolved must fail, or each batch waiting on it
-            # deadlocks forever. This is also what lets a store-layer
-            # QuorumError (a put that could not reach its write concern)
-            # propagate loudly out of submit_batch without wedging
-            # concurrent batches coalesced onto this one's claims.
-            for vertex, group in pending:
-                if vertex not in resolved and vertex not in salvaged:
-                    self.coalescer.fail(group.key(), error)
+            # Never strand a claim: each batch waiting on it would deadlock.
+            for key in held:
+                self.coalescer.fail(key, error)
             raise
-        for vertex, record in salvaged.items():
-            records[vertex] = record
+        for index, future in trivial_waiting.items():
+            trivial_records[index] = future.result()
         for vertex, future in waiting.items():
             records[vertex] = future.result()
         perf.count("service.coalesced", len(waiting))
@@ -272,70 +271,67 @@ class CompileService:
             {"compiled": len(owned), "coalesced": len(waiting)},
         )
 
-    def _persist(self, group: GateGroup, record: CompileRecord) -> None:
-        # flush=False: the entry file is durable now, the manifest rewrite
-        # is paid once per batch (submit_batch flushes before returning).
-        self.store.put(
-            LibraryEntry(
-                group=group,
-                pulse=record.pulse,
-                latency=record.latency,
-                iterations=record.iterations,
-                converged=record.converged,
-            ),
-            flush=False,
-        )
-        self.coalescer.resolve(group.key(), record)
+    def _claim_and_solve(
+        self,
+        groups: Sequence[GateGroup],
+        solve: Callable[[List[int]], List[CompileRecord]],
+        held: Set[bytes],
+        perf: PerfRecorder,
+    ) -> Tuple[List[Optional[CompileRecord]], Dict[int, "Future"], List[int]]:
+        """Claim every group's key, salvage what the live store gained, and
+        ``solve`` the rest (one record per index it is given).
 
-    def _compile_trivial(
-        self, plan: BatchPlan, perf: PerfRecorder
-    ) -> List[CompileRecord]:
-        """Virtual-diagonal groups: instant solves, same claim semantics.
+        A claim can still be *salvaged*: another batch may have persisted
+        the key between this batch's snapshot and its claim — without the
+        re-check that window would compile (and pay for) the group twice.
+        The re-check is one ``get_many`` over every owned key (one read RPC
+        per remote shard, not one per key). Owned keys that are not
+        salvaged stay in ``held`` for the caller to resolve or fail.
 
-        Claims are taken up front and live-re-checked with one ``get_many``
-        (the trivial path must not reintroduce per-key read RPCs a remote
-        shard would pay serially); a solve failure fails every still-open
-        claim before propagating, same as the main execute path.
+        Returns records aligned with ``groups`` (``None`` where another
+        batch's claim is awaited), those claims' futures by index, and the
+        indices solved here.
         """
-        trivial_records: List[Optional[CompileRecord]] = [None] * len(plan.trivial)
+        records: List[Optional[CompileRecord]] = [None] * len(groups)
+        waiting: Dict[int, "Future"] = {}
+        pending: List[int] = []
+        for index, group in enumerate(groups):
+            is_owner, future = self.coalescer.claim(group.key())
+            if is_owner:
+                held.add(group.key())
+                pending.append(index)
+            else:
+                waiting[index] = future
         with perf.stage("service.store"):
-            pending: List[int] = []
-            waiting: Dict[int, "Future"] = {}
-            for index, group in enumerate(plan.trivial):
-                is_owner, future = self.coalescer.claim(group.key())
-                if is_owner:
-                    pending.append(index)
-                else:
-                    waiting[index] = future
-            owned: List[int] = []
-            resolved: set = set()
-            try:
-                live = self.store.get_many(
-                    [plan.trivial[i].key() for i in pending]
-                )
-                for index, entry in zip(pending, live):
-                    if entry is None:
-                        owned.append(index)
-                        continue
-                    record = _record_from_entry(entry)
-                    self.coalescer.resolve(plan.trivial[index].key(), record)
-                    trivial_records[index] = record
-                for index in owned:
-                    group = plan.trivial[index]
-                    record = compile_with_engine(
-                        self.engine, group, seed_tag=seed_tag_for(group)
-                    )
-                    self._persist(group, record)
-                    resolved.add(index)
-                    trivial_records[index] = record
-            except BaseException as error:
-                for index in pending:
-                    if index not in resolved and trivial_records[index] is None:
-                        self.coalescer.fail(plan.trivial[index].key(), error)
-                raise
-            for index, future in waiting.items():
-                trivial_records[index] = future.result()
-        return trivial_records
+            live = self.store.get_many([groups[i].key() for i in pending])
+        owned: List[int] = []
+        for index, entry in zip(pending, live):
+            if entry is None:
+                owned.append(index)
+                continue
+            records[index] = _record_from_entry(entry)
+            held.remove(groups[index].key())
+            self.coalescer.resolve(groups[index].key(), records[index])
+        with perf.stage("service.execute"):
+            for index, record in zip(owned, solve(owned)):
+                records[index] = record
+        return records, waiting, owned
+
+    def _solve_on_pool(
+        self, plan: BatchPlan, snapshot, vertices: List[int], perf: PerfRecorder
+    ) -> List[CompileRecord]:
+        # Constructed inside the claims' protected region: an invalid
+        # backend or warm spec must fail the claims too, not strand them.
+        executor = WorkerPoolExecutor(
+            self.engine,
+            backend=self.backend,
+            n_workers=self.n_workers,
+            similarity=self.config.similarity,
+            warm=self.warm,
+            perf=perf,
+        )
+        records = executor.run_indices(plan, snapshot, vertices)
+        return [records[v] for v in vertices]
 
     def _latency_table(
         self,

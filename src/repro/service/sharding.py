@@ -62,8 +62,7 @@ import os
 import shutil
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.cache import CoverageReport, LibraryEntry, PulseLibrary
-from repro.grouping.group import GateGroup
+from repro.core.cache import LibraryEntry, PulseLibrary
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.store import (
     ENTRIES_DIR,
@@ -268,10 +267,6 @@ class ShardedStore(StoreBackend):
                     )
                 )
 
-    # -------------------------------------------------------------- routing
-    def shard_for_key(self, key: bytes) -> StoreBackend:
-        return self.shards[shard_of(key_digest(key), self.n_shards)]
-
     # ------------------------------------------------------------------ api
     @property
     def stats(self) -> StoreStats:
@@ -319,13 +314,6 @@ class ShardedStore(StoreBackend):
                 rows.append(row)
         return rows
 
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def __contains__(self, group: GateGroup) -> bool:
-        key = group.key()
-        return self.shard_for_key(key).peek_key(key) is not None
-
     def keys(self) -> List[bytes]:
         keys: List[bytes] = []
         for shard in self.shards:
@@ -353,10 +341,9 @@ class ShardedStore(StoreBackend):
             merged.merge(shard.snapshot())
         return merged
 
-    def get_key(self, key: bytes) -> Optional[LibraryEntry]:
-        return self.shard_for_key(key).get_key(key)
-
-    def get_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
+    def get_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]:
         """Batched reads, one ``get_many`` per *shard* touched.
 
         Keys are bucketed by digest range and each bucket is answered by
@@ -373,17 +360,11 @@ class ShardedStore(StoreBackend):
         results: List[Optional[LibraryEntry]] = [None] * len(keys)
         for index, positions in sorted(buckets.items()):
             entries = self.shards[index].get_many(
-                [keys[p] for p in positions]
+                [keys[p] for p in positions], peek=peek
             )
             for position, entry in zip(positions, entries):
                 results[position] = entry
         return results
-
-    def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
-        return self.shard_for_key(key).peek_key(key)
-
-    def put(self, entry: LibraryEntry, flush: bool = True) -> None:
-        self.shard_for_key(entry.group.key()).put(entry, flush=flush)
 
     def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
         """Batched writes: one ``put_many`` per shard touched."""
@@ -397,32 +378,6 @@ class ShardedStore(StoreBackend):
     def flush(self) -> None:
         for shard in self.shards:
             shard.flush()
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        if self.routes is not None:
-            # One keys() round trip per host, membership client-side —
-            # a per-group peek would be a serialized RTT per group.
-            held: set = set()
-            for shard in self.shards:
-                held.update(shard.keys())
-            membership = held.__contains__
-        else:
-            membership = lambda key: (  # noqa: E731 — local peek is O(1)
-                self.shard_for_key(key).peek_key(key) is not None
-            )
-        covered = 0
-        uncovered: Dict[bytes, GateGroup] = {}
-        for group in groups:
-            key = group.key()
-            if membership(key):
-                covered += 1
-            else:
-                uncovered.setdefault(key, group)
-        return CoverageReport(
-            n_groups=len(groups),
-            n_covered=covered,
-            uncovered_unique=list(uncovered.values()),
-        )
 
     def claim_fingerprint(self, fingerprint: str) -> None:
         for shard in self.shards:
@@ -450,22 +405,6 @@ class ShardedStore(StoreBackend):
     def add_eviction_guard(self, guard: EvictionGuard) -> None:
         for shard in self.shards:
             shard.add_eviction_guard(guard)
-
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Hygiene pass over every shard; the budget flows left to right."""
-        summary = {"retrained": 0, "converged": 0, "iterations": 0, "remaining": 0}
-        for shard in self.shards:
-            remaining = budget - summary["iterations"]
-            if remaining <= 0:
-                # Out of budget: still count what this shard has pending.
-                summary["remaining"] += sum(
-                    1 for e in shard.library().entries() if not e.converged
-                )
-                continue
-            part = shard.revalidate(engine, remaining)
-            for name in summary:
-                summary[name] += part[name]
-        return summary
 
 
 # ------------------------------------------------------------------ factory

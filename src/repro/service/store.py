@@ -49,7 +49,7 @@ import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Optional, Sequence
 
 try:
     import fcntl
@@ -57,7 +57,6 @@ except ImportError:  # non-POSIX: degrade to best-effort single-writer
     fcntl = None
 
 from repro.core.cache import (
-    CoverageReport,
     LibraryEntry,
     PulseLibrary,
     entry_from_dict,
@@ -138,39 +137,44 @@ class StoreBackend(abc.ABC):
     ``CompileService``, the executors, and the front doors talk only to this
     interface, so one logical store can be a single directory
     (:class:`PulseStore`), N key-digest-range shards
-    (:class:`repro.service.sharding.ShardedStore`), or a store on another
-    host (:class:`repro.service.remote.RemoteStore` speaking the
-    ``repro store serve`` protocol — including a ShardedStore whose
-    shards are themselves remote, the digest-range routing table). The
-    contract every backend honors:
+    (:class:`repro.service.sharding.ShardedStore`), a store on another host
+    (:class:`repro.service.remote.RemoteStore` speaking the ``repro store
+    serve`` protocol — including a ShardedStore whose shards are themselves
+    remote, the digest-range routing table), or a replica set
+    (:class:`repro.service.replication.ReplicatedStore`).
 
-    * content addressing by canonical group key (wire-permuted occurrences
-      of a stored group hit);
-    * ``snapshot()`` is an independent, internally consistent
-      :class:`PulseLibrary` copy — the frozen warm-seed source a batch
-      plans and solves against;
-    * ``put`` is durable before it returns; ``flush`` makes deferred
-      manifest state (and recency bumps) visible to future (re)loads;
-    * ``get_many``/``put_many`` are the batched spellings with identical
-      per-key semantics — the service reads through them so a backend on
-      the far side of a wire pays one round trip per host, not per key;
-    * ``stats`` aggregates hit/miss/put/eviction counters for this
-      instance (a sharded backend merges per-shard counters);
-    * ``claim_fingerprint`` refuses to serve results produced under a
+    A backend implements six core methods plus the ``stats`` attribute:
+
+    * ``keys()`` — every stored canonical group key;
+    * ``snapshot()`` — an independent, internally consistent
+      :class:`PulseLibrary` copy: the frozen warm-seed source a batch plans
+      and solves against (one RPC on a remote store);
+    * ``get_many(keys, peek=False)`` — one result slot per key, in order.
+      Each key counts a hit or a miss and a hit bumps recency; ``peek=True``
+      counts and bumps nothing (planning, admin reads). A wire-crossing
+      backend answers the whole list in one round trip per host;
+    * ``put_many(entries, flush=True)`` — every entry durable before
+      return, one round trip per host; ``flush=False`` defers the manifest
+      rewrite to the next ``flush()``;
+    * ``flush()`` — makes deferred manifest state (and recency bumps)
+      visible to future (re)loads;
+    * ``claim_fingerprint(fp)`` — refuses to serve results produced under a
       different engine/run identity;
-    * ``add_eviction_guard`` lets each owner veto LRU victims (in-flight
-      warm-start seeds must survive until their batch resolves); guards
-      compose — two services over one store both stay protected.
+    * ``stats`` — hit/miss/put/eviction counters for this instance (a
+      sharded backend merges per-shard counters).
+
+    Everything else is derived once, here: ``get``/``get_key``/``peek_key``
+    are one-key ``get_many`` calls, ``put`` is a one-entry ``put_many``,
+    ``len()`` counts ``keys()``, ``in`` is a peek, and :meth:`revalidate`
+    retrains from ``snapshot()`` and writes back with one ``put_many``.
+    ``add_eviction_guard`` is a no-op unless the backend evicts locally.
+    Entries are content-addressed by canonical group key, so wire-permuted
+    occurrences of a stored group hit.
     """
 
     stats: StoreStats
 
-    @abc.abstractmethod
-    def __len__(self) -> int: ...
-
-    @abc.abstractmethod
-    def __contains__(self, group: GateGroup) -> bool: ...
-
+    # ------------------------------------------------------------------ core
     @abc.abstractmethod
     def keys(self) -> List[bytes]: ...
 
@@ -178,57 +182,105 @@ class StoreBackend(abc.ABC):
     def snapshot(self) -> PulseLibrary: ...
 
     @abc.abstractmethod
-    def get_key(self, key: bytes) -> Optional[LibraryEntry]: ...
+    def get_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]: ...
 
     @abc.abstractmethod
-    def peek_key(self, key: bytes) -> Optional[LibraryEntry]: ...
-
-    @abc.abstractmethod
-    def put(self, entry: LibraryEntry, flush: bool = True) -> None: ...
+    def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None: ...
 
     @abc.abstractmethod
     def flush(self) -> None: ...
 
     @abc.abstractmethod
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport: ...
-
-    @abc.abstractmethod
     def claim_fingerprint(self, fingerprint: str) -> None: ...
 
-    @abc.abstractmethod
-    def add_eviction_guard(self, guard: EvictionGuard) -> None: ...
+    # --------------------------------------------------------------- derived
+    def __len__(self) -> int:
+        return len(self.keys())
 
-    @abc.abstractmethod
-    def revalidate(self, engine, budget: int) -> Dict[str, int]: ...
+    def __contains__(self, group: GateGroup) -> bool:
+        return self.peek_key(group.key()) is not None
 
     def get(self, group: GateGroup) -> Optional[LibraryEntry]:
         """Entry for ``group`` (hit/miss counted, recency bumped)."""
         return self.get_key(group.key())
 
-    def get_many(self, keys: Sequence[bytes]) -> List[Optional[LibraryEntry]]:
-        """Batched :meth:`get_key`: one result slot per key, in order.
+    def get_key(self, key: bytes) -> Optional[LibraryEntry]:
+        """Entry by raw canonical key (same accounting as ``get``)."""
+        return self.get_many([key])[0]
 
-        Accounting matches the per-key loop (each key counts a hit or a
-        miss, hits bump recency). This default *is* that loop — local
-        backends pay nothing for batching — but wire-crossing backends
-        override it to answer the whole list in one round trip per host
-        (``get_many`` on the store-server protocol), so a cold batch costs
-        O(shards) read RPCs instead of O(keys).
+    def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
+        """Lookup without hit/miss accounting or a recency bump."""
+        return self.get_many([key], peek=True)[0]
+
+    def put(self, entry: LibraryEntry, flush: bool = True) -> None:
+        """Persist one entry (see :meth:`put_many`)."""
+        self.put_many([entry], flush=flush)
+
+    def add_eviction_guard(self, guard: EvictionGuard) -> None:
+        """Let an owner veto LRU victims (in-flight warm-start seeds must
+        survive until their batch resolves). A no-op here: a backend
+        without a local bound has nothing to evict — a remote store's
+        eviction is its server's policy, which cannot see this client's
+        claims."""
+
+    def revalidate(self, engine, budget: int) -> Dict[str, int]:
+        """Retrain non-converged entries until ``budget`` iterations are spent.
+
+        The idle-time hygiene pass: entries whose solve never reached the
+        target infidelity are re-run in key-digest order (warm-started from
+        their own stored pulse, same deterministic seed tag as the original
+        service solve) against ``engine`` — typically one configured with a
+        bigger iteration budget than the serving path. The compute runs on
+        this side of any wire: candidates come from one ``snapshot()``, and
+        every retrained entry is written back with one ``put_many``.
+        ``budget`` caps the total iterations spent so the pass fits in an
+        idle window; the last retrain may overshoot it. Returns a summary
+        dict (``retrained``/``converged``/``iterations``/``remaining``).
         """
-        return [self.get_key(key) for key in keys]
+        from repro.core.engines import compile_with_engine
+        from repro.service.executor import seed_tag_for
 
-    def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
-        """Batched :meth:`put`: every entry durable before return.
+        candidates = sorted(
+            (e for e in self.snapshot().entries() if not e.converged),
+            key=lambda e: key_digest(e.group.key()),
+        )
+        spent = retrained = converged = 0
+        updated: List[LibraryEntry] = []
+        for entry in candidates:
+            if spent >= budget:
+                break
+            record = compile_with_engine(
+                engine,
+                entry.group,
+                warm_pulse=entry.pulse,
+                warm_source=entry.group,
+                seed_tag=seed_tag_for(entry.group),
+            )
+            spent += record.iterations
+            retrained += 1
+            if record.converged:
+                converged += 1
+            updated.append(
+                LibraryEntry(
+                    group=entry.group,
+                    pulse=record.pulse,
+                    latency=record.latency,
+                    iterations=entry.iterations + record.iterations,
+                    converged=record.converged,
+                )
+            )
+        if updated:
+            self.put_many(updated)
+        return {
+            "retrained": retrained,
+            "converged": converged,
+            "iterations": spent,
+            "remaining": len(candidates) - retrained,
+        }
 
-        The default defers the manifest rewrite to one trailing
-        :meth:`flush`; remote backends override it to ship the whole list
-        in one ``put_many`` round trip per host.
-        """
-        for entry in entries:
-            self.put(entry, flush=False)
-        if flush:
-            self.flush()
-
+    # ------------------------------------------------------------ reporting
     def stats_by_shard(self) -> List[Dict[str, float]]:
         """Per-shard stats snapshots; a single directory is one 'shard'."""
         return [self.stats.to_dict()]
@@ -451,14 +503,6 @@ class PulseStore(StoreBackend):
                 )
 
     # ------------------------------------------------------------------ api
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._library)
-
-    def __contains__(self, group: GateGroup) -> bool:
-        with self._lock:
-            return group in self._library
-
     def keys(self) -> List[bytes]:
         with self._lock:
             return list(self._library.keys())
@@ -494,113 +538,62 @@ class PulseStore(StoreBackend):
             except TypeError:  # not a bound method
                 self._eviction_guards.append(guard)
 
-    def peek_key(self, key: bytes) -> Optional[LibraryEntry]:
-        """Lookup without hit/miss accounting or a recency bump (planning)."""
+    def get_many(
+        self, keys: Sequence[bytes], peek: bool = False
+    ) -> List[Optional[LibraryEntry]]:
+        """Entries by raw canonical key, under one lock acquisition.
+
+        Each key counts a hit or a miss and a hit bumps recency, in key
+        order; ``peek=True`` reads without either (planning).
+        """
         with self._lock:
-            return self._library.lookup_key(key)
+            entries = [self._library.lookup_key(key) for key in keys]
+            if not peek:
+                hits = 0
+                for key, entry in zip(keys, entries):
+                    if entry is not None:
+                        hits += 1
+                        self._touch(key)
+                self._count("hits", hits)
+                self._count("misses", len(entries) - hits)
+            return entries
 
-    def get_key(self, key: bytes) -> Optional[LibraryEntry]:
-        """Entry by raw canonical key (same stats accounting as ``get``)."""
-        with self._lock:
-            entry = self._library.lookup_key(key)
-            if entry is None:
-                self.stats.misses += 1
-                self.perf.count(self.stat_prefix + "misses")
-                return None
-            self.stats.hits += 1
-            self.perf.count(self.stat_prefix + "hits")
-            self._touch(key)
-            return entry
+    def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
+        """Persist entries (atomic entry file each, then manifest), maybe evict.
 
-    def put(self, entry: LibraryEntry, flush: bool = True) -> None:
-        """Persist one entry (atomic entry file, then manifest), maybe evict.
-
-        ``flush=False`` defers the manifest rewrite — the entry file is
-        still durable immediately, but the entry only becomes visible to a
+        ``flush=False`` defers the manifest rewrite — the entry files are
+        still durable immediately, but the entries only become visible to a
         future (re)load after the next :meth:`flush`. Batch writers use this
         to pay one manifest rewrite per batch instead of one per entry; the
         recovery semantics are unchanged (an unflushed entry file is the
-        same harmless orphan a crash mid-``put`` leaves).
+        same harmless orphan a crash mid-write leaves). The LRU bound is
+        enforced after each entry, protecting the one just written.
         """
-        key = entry.group.key()
         with self._lock, self._disk_lock():
-            with self.perf.stage(self.stat_prefix + "write"):
-                _atomic_write_json(self._entry_path(key), entry_to_dict(entry))
-            self._library.add(entry)
-            self._tombstones.discard(key_digest(key))
-            self._touch(key)
-            self.stats.puts += 1
-            self.perf.count(self.stat_prefix + "puts")
-            if self.max_entries is not None:
-                while len(self._library) > self.max_entries:
-                    if not self._evict_lru(protect=key):
-                        break  # everything left is in-flight; stay over bound
+            for entry in entries:
+                key = entry.group.key()
+                with self.perf.stage(self.stat_prefix + "write"):
+                    _atomic_write_json(self._entry_path(key), entry_to_dict(entry))
+                self._library.add(entry)
+                self._tombstones.discard(key_digest(key))
+                self._touch(key)
+                self._count("puts", 1)
+                if self.max_entries is not None:
+                    while len(self._library) > self.max_entries:
+                        if not self._evict_lru(protect=key):
+                            break  # everything left is in-flight; stay over bound
             if flush:
                 self.flush()
-
-    def coverage(self, groups: Sequence[GateGroup]) -> CoverageReport:
-        """Library coverage (no hit/miss accounting: this is planning)."""
-        with self._lock:
-            return self._library.coverage(groups)
-
-    def revalidate(self, engine, budget: int) -> Dict[str, int]:
-        """Retrain non-converged entries until ``budget`` iterations are spent.
-
-        The idle-time hygiene pass: entries whose solve never reached the
-        target infidelity are re-run (warm-started from their own stored
-        pulse, same deterministic seed tag as the original service solve)
-        against ``engine`` — typically one configured with a bigger
-        iteration budget than the serving path. Each retrain replaces the
-        stored entry; ``budget`` caps the total iterations spent so the
-        pass fits in an idle window. Returns a summary dict
-        (``retrained``/``converged``/``iterations``/``remaining``).
-        """
-        from repro.core.engines import compile_with_engine
-        from repro.service.executor import seed_tag_for
-
-        with self._lock:
-            candidates = sorted(
-                (e for e in self._library.entries() if not e.converged),
-                key=lambda e: key_digest(e.group.key()),
-            )
-        spent = retrained = converged = 0
-        for entry in candidates:
-            if spent >= budget:
-                break
-            record = compile_with_engine(
-                engine,
-                entry.group,
-                warm_pulse=entry.pulse,
-                warm_source=entry.group,
-                seed_tag=seed_tag_for(entry.group),
-            )
-            spent += record.iterations
-            retrained += 1
-            if record.converged:
-                converged += 1
-            self.put(
-                LibraryEntry(
-                    group=entry.group,
-                    pulse=record.pulse,
-                    latency=record.latency,
-                    iterations=entry.iterations + record.iterations,
-                    converged=record.converged,
-                ),
-                flush=False,
-            )
-        if retrained:
-            self.flush()
-        return {
-            "retrained": retrained,
-            "converged": converged,
-            "iterations": spent,
-            "remaining": len(candidates) - retrained,
-        }
 
     # ----------------------------------------------------------------- impl
     def _touch(self, key: bytes) -> None:
         self._clock += 1
         self._recency[key] = self._clock
+
+    def _count(self, field: str, n: int) -> None:
+        if n > 0:
+            setattr(self.stats, field, getattr(self.stats, field) + n)
+            self.perf.count(self.stat_prefix + field, n)
 
     def _evict_lru(self, protect: bytes) -> bool:
         """Evict the coldest unprotected key; False when none is evictable.
@@ -629,6 +622,5 @@ class PulseStore(StoreBackend):
         path = self._entry_path(victim)
         if os.path.exists(path):
             os.unlink(path)
-        self.stats.evictions += 1
-        self.perf.count(self.stat_prefix + "evictions")
+        self._count("evictions", 1)
         return True

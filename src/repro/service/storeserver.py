@@ -16,6 +16,7 @@ Wire protocol (requests carry ``op``; responses carry ``ok``)::
     {"op": "put",  "entry": "<b64>", "flush": true} -> {"ok": true}
     {"op": "get_many", "keys": ["<hex>", ...]}      # 1..MAX_BATCH_KEYS keys
         -> {"ok": true, "entries": ["<b64>"|null, ...]}  # aligned with keys
+    {"op": "get_many", "keys": [...], "peek": true} # same, no accounting
     {"op": "put_many", "entries": ["<b64>", ...], "flush": true}
         -> {"ok": true, "n": N}
     {"op": "snapshot"} -> {"ok": true, "entries": ["<b64>", ...]}
@@ -146,8 +147,8 @@ def non_converged_count(store: StoreBackend) -> Optional[int]:
     total = 0
     for part in getattr(store, "shards", [store]):
         # _library is the in-memory PulseLibrary; its presence is what
-        # distinguishes a local part from a wire-backed one (whose
-        # `library()` alias would pull a full snapshot RPC per poll).
+        # distinguishes a local part from a wire-backed one (which could
+        # only count by pulling a full snapshot RPC per poll).
         if getattr(part, "_library", None) is None:
             return None
         lock = getattr(part, "_lock", None)
@@ -621,7 +622,7 @@ class StoreServer:
             return {"ok": True}
         if op == "get_many":
             keys = [bytes.fromhex(k) for k in _batch_list(request, "keys")]
-            entries = store.get_many(keys)
+            entries = store.get_many(keys, peek=bool(request.get("peek", False)))
             return {
                 "ok": True,
                 "entries": [

@@ -212,19 +212,17 @@ def test_failed_batch_releases_claims(tmp_path):
     service = _service(tmp_path)
     program = qft(4)
 
-    real_put = service.store.put
-    calls = {"n": 0}
+    real_put_many = service.store.put_many
 
-    def failing_put(entry, flush=True):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise OSError("disk full")
-        real_put(entry, flush=flush)
+    def failing_put_many(entries, flush=True):
+        # the batch's one write: fail after persisting part of it
+        real_put_many(entries[:1], flush=flush)
+        raise OSError("disk full")
 
-    service.store.put = failing_put
+    service.store.put_many = failing_put_many
     with pytest.raises(OSError):
         service.submit_batch([program])
-    service.store.put = real_put
+    service.store.put_many = real_put_many
 
     batch = service.submit_batch([program])  # must not deadlock on claims
     assert batch.requests[0].overall_latency > 0

@@ -199,6 +199,41 @@ def test_remote_store_roundtrip(tmp_path, config):
         server.stop()
 
 
+def test_store_stats_summary_reads_remote_entries_in_batched_frames(
+    tmp_path, config, monkeypatch
+):
+    """`repro store stats` on a wire-backed store: entries come back in
+    peeking get_many frames (one per MAX_BATCH_KEYS keys), never as one
+    peek/get RPC per key, and the read counts no hits or misses."""
+    import math
+
+    from repro.perf.instrument import PerfRecorder
+    from repro.service import remote as remote_mod
+    from repro.service.frontdoor import store_stats_summary
+
+    server, local = _serve(tmp_path)
+    try:
+        CompileService(local, config, backend="serial").submit_batch([qft(4)])
+        n_keys = len(local.keys())
+        frame = 3  # small frames, so the summary needs several
+        assert n_keys > frame
+        monkeypatch.setattr(remote_mod, "MAX_BATCH_KEYS", frame)
+        perf = PerfRecorder()
+        store = RemoteStore(f"remote://{server.address}", perf=perf)
+        summary = store_stats_summary(store)
+        assert summary["entries"] == n_keys
+        assert summary["non_converged"] == sum(
+            1 for k in local.keys() if not local.peek_key(k).converged
+        )
+        counters = perf.counters
+        assert counters.get("store.remote.ops.peek", 0) == 0
+        assert counters.get("store.remote.ops.get", 0) == 0
+        assert counters["store.remote.ops.get_many"] <= math.ceil(n_keys / frame)
+        assert store.stats.hits == store.stats.misses == 0
+    finally:
+        server.stop()
+
+
 def test_remote_store_reconnects_after_server_restart(tmp_path, config):
     """Reconnect-and-retry-once: a bounced server is invisible to the
     client beyond the one retried request."""

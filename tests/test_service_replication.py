@@ -356,16 +356,57 @@ def test_quorum_error_propagates_through_batch_front_door(tmp_path, config):
         assert engine.killed
         assert store.stats.quorum_failures >= 1
         # the claims were failed, not stranded: a retry batch against the
-        # surviving majority completes
+        # surviving majority completes. The failed batch's one put_many
+        # reached replica A before the quorum check refused it, so the
+        # retry is served warm from A.
         retry_store = open_store(_fast_spec(server_a, server_b, "majority"))
         retry = CompileService(
             retry_store, config, backend="serial"
         ).submit_batch([qft(4)])
-        assert retry.n_compiled > 0
+        assert retry.n_compiled == 0
+        assert retry.requests[0].overall_latency > 0
         assert retry_store.stats.quorum_failures == 0
     finally:
         server_a.stop()
         server_b.stop()
+
+
+def test_batch_coalesced_onto_failed_put_many_gets_quorum_error(
+    tmp_path, config
+):
+    """A batch coalesced onto claims whose owner's one ``put_many`` raises
+    QuorumError gets that error too: the owner fails every claim it still
+    holds, so no waiter hangs."""
+    store = PulseStore(str(tmp_path / "s"))
+    service = CompileService(store, config, backend="serial")
+    real_put_many = store.put_many
+    outcome = {}
+
+    def waiter():
+        try:
+            service.submit_batch([qft(4)])
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=waiter, daemon=True)
+
+    def quorum_failing_put_many(entries, flush=True):
+        if thread.ident is not None:  # the waiter's own write goes through
+            return real_put_many(entries, flush=flush)
+        thread.start()  # the owner still holds every claim of its batch
+        deadline = time.monotonic() + 30
+        while service.coalescer.coalesced == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise QuorumError("remote://ra|rb", 2, 1, 2)
+
+    store.put_many = quorum_failing_put_many
+    with pytest.raises(QuorumError):
+        service.submit_batch([qft(4)])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert service.coalescer.coalesced > 0
+    assert isinstance(outcome.get("error"), QuorumError)
+    assert len(service.coalescer._in_flight) == 0
 
 
 def test_cmd_batch_reports_quorum_failure_exit_3(tmp_path, config, capsys):
@@ -536,6 +577,9 @@ def test_cold_batch_issues_o_shards_read_rpcs(tmp_path, config):
             # proportional to the key count)
             frames = counters.get(prefix + "ops.get_many", 0)
             assert 1 <= frames <= 4, counters
+            # writes: no per-key put, one put_many frame per shard touched
+            assert counters.get(prefix + "ops.put", 0) == 0
+            assert counters.get(prefix + "ops.put_many", 0) <= len(servers)
         batched = [n for n in perf.stages if n.endswith("batched_rpc")]
         assert batched, "batched reads never hit the batched_rpc stage"
 
