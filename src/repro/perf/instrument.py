@@ -9,11 +9,17 @@ time went.
 
 Stage names are dotted paths (``dynamic.simgraph``); nesting is by
 convention, not enforced, which keeps the per-call overhead to two clock
-reads and a dict update.
+reads and a locked dict update.
+
+A recorder is also the only copy of the service's counters (store hits,
+steals, quorum acks, ...): every ``stats`` surface is a read of it. Stores
+and schedulers share one recorder across concurrent batch threads, so
+every mutation and every snapshot holds the recorder's lock.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict
@@ -28,6 +34,7 @@ class PerfRecorder:
         self._clock = clock
         self.stages: Dict[str, StageStat] = {}
         self.counters: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     @contextmanager
     def stage(self, name: str):
@@ -40,11 +47,12 @@ class PerfRecorder:
 
     def record(self, name: str, seconds: float) -> None:
         """Add one timed call to a stage."""
-        stat = self.stages.get(name)
-        if stat is None:
-            stat = self.stages[name] = StageStat(name=name)
-        stat.calls += 1
-        stat.total_s += float(seconds)
+        with self._lock:
+            stat = self.stages.get(name)
+            if stat is None:
+                stat = self.stages[name] = StageStat(name=name)
+            stat.calls += 1
+            stat.total_s += float(seconds)
 
     def record_since(self, name: str, start: float) -> None:
         """Close an open-ended interval: ``start`` is an earlier reading of
@@ -60,7 +68,8 @@ class PerfRecorder:
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a named counter."""
-        self.counters[name] = self.counters.get(name, 0) + int(n)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def merge_report(self, report: PerfReport, prefix: str = "") -> None:
         """Fold a finished :class:`PerfReport` into this recorder.
@@ -70,26 +79,29 @@ class PerfRecorder:
         this is how per-worker recorders from the service's process pool are
         folded back into the batch-level recorder.
         """
-        for stat in report.stages:
-            name = prefix + stat.name
-            mine = self.stages.get(name)
-            if mine is None:
-                mine = self.stages[name] = StageStat(name=name)
-            mine.calls += stat.calls
-            mine.total_s += stat.total_s
-        for name, value in report.counters.items():
-            self.count(prefix + name, value)
+        with self._lock:
+            for stat in report.stages:
+                name = prefix + stat.name
+                mine = self.stages.get(name)
+                if mine is None:
+                    mine = self.stages[name] = StageStat(name=name)
+                mine.calls += stat.calls
+                mine.total_s += stat.total_s
+            for name, value in report.counters.items():
+                name = prefix + name
+                self.counters[name] = self.counters.get(name, 0) + int(value)
 
     def report(self, label: str = "") -> PerfReport:
         """Immutable snapshot of everything recorded so far."""
-        return PerfReport(
-            label=label,
-            stages=[
-                StageStat(name=s.name, calls=s.calls, total_s=s.total_s)
-                for s in self.stages.values()
-            ],
-            counters=dict(self.counters),
-        )
+        with self._lock:
+            return PerfReport(
+                label=label,
+                stages=[
+                    StageStat(name=s.name, calls=s.calls, total_s=s.total_s)
+                    for s in self.stages.values()
+                ],
+                counters=dict(self.counters),
+            )
 
 
 def recorder_or_null(perf: "PerfRecorder | None") -> PerfRecorder:

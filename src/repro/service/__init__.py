@@ -11,8 +11,8 @@ Store layout
 Persistence lives behind the :class:`~repro.service.store.StoreBackend`
 interface. A backend implements six core methods — ``keys``,
 ``snapshot``, ``get_many(keys, peek=False)``, ``put_many(entries,
-flush=True)``, ``flush`` and ``claim_fingerprint`` — plus a ``stats``
-attribute. The base class derives the rest once for every backend:
+flush=True)``, ``flush`` and ``claim_fingerprint``. The base class derives
+the rest once for every backend, ``stats`` included:
 ``get``/``get_key``/``peek_key`` (one-key ``get_many``), ``put`` (one-entry
 ``put_many``), ``len`` and ``in``, ``revalidate`` (retrain from one
 snapshot, write back with one ``put_many``), and a no-op
@@ -27,7 +27,7 @@ The sharded backend, :class:`~repro.service.sharding.ShardedStore`, splits
 one logical store across N such directories by key-digest range under a
 versioned ``shardmap.json`` (validated on open; changed only by the
 ``repro store reshard`` migration) — each shard has its own manifest,
-flock, LRU bound, and stats, so writers to different key ranges never
+flock, LRU bound, and counters, so writers to different key ranges never
 serialize on one lock. :func:`~repro.service.sharding.open_store`
 auto-detects the layout.
 
@@ -66,8 +66,21 @@ relabels drive lines, exactly as the in-memory ``PulseLibrary`` does).
 Writes are atomic (temp file + ``os.replace``); the entry file lands before
 the manifest, so a crash leaves at worst an orphan entry file, never a torn
 store. The manifest is versioned and carries LRU recency, so a bounded store
-(``max_entries``) evicts the coldest key even across restarts. Hit, miss,
-put, and eviction counters live in ``store.stats``.
+(``max_entries``) evicts the coldest key even across restarts.
+
+Every service counter — store hits, misses, puts, evictions, wire
+degradations, failovers, quorum acks; scheduler dispatches, steals,
+reassignments, sheds, local fallbacks; anti-entropy rounds and heals — is
+incremented in exactly one place: the owning component's
+:class:`~repro.perf.instrument.PerfRecorder` (``store.hits``,
+``store.shard3.puts``, ``store.remote.r1.degraded``, ``schedule.steals``,
+``store.antientropy.rounds``). Every other surface only reads it:
+``store.stats`` (a :class:`~repro.service.store.StoreStats` snapshot; a
+sharded store sums its shards), ``stats_by_shard``/``stats_by_replica``,
+the ``n_*`` attributes of the scheduler, executor and async server, the
+fabric and anti-entropy ``status``/``stats`` payloads, and the
+dashboard's ``/metrics``. :data:`~repro.service.store.STORE_COUNTERS` is
+the one list of store counter names.
 
 Batch planning and execution
 ----------------------------
@@ -135,7 +148,9 @@ write that reaches nobody is absorbed and counted ``degraded``;
 ``majority`` (ceil(n/2): 1 of 2, 2 of 3) makes a batch fail loudly with
 ``QuorumError`` (exit 3 from ``repro batch``) only when *more than half*
 the replicas are down; ``all`` refuses any replica lag. Watch
-``acked``/``quorum_failures`` in batch reports and ``repro store stats``.
+``acked``/``quorum_failures`` in batch reports and ``repro store stats``
+(both read the route's ``store.<prefix>acked``/``quorum_failures``
+counters).
 
 *Anti-entropy tuning*: the interval bounds how long a revived replica
 lags (convergence within ~2 rounds); each idle round costs one ``keys``
@@ -145,8 +160,9 @@ throughput). Rounds are jittered to 50–100% of the interval so a fleet
 never exchanges digests in lockstep. Pause/resume/on-demand-heal over
 the wire: ``{"op": "antientropy", "action": "pause"|"resume"|"heal"}``;
 cumulative counters (``rounds``, ``keys_healed``, ``bytes``,
-``skipped_unreachable``) ride the ``stats`` op and the
-``store.antientropy.*`` perf counters.
+``skipped_unreachable``, ``digest_skips``) live in the
+``store.antientropy.*`` perf counters, and the loop's ``status()`` — the
+``antientropy`` block of the ``stats`` op — reads them.
 
 *Observability*: ``repro store stats --store <route>`` prints per-shard
 and per-replica tables (``--json`` for machines) — a replica with
@@ -216,9 +232,11 @@ flooder sheds before it starves anyone else.
 --connect host:port --stats``) reports ``n_dispatched`` / ``n_steals`` /
 ``n_reassigned`` / ``n_shed``, ``parts_queued``/``parts_in_flight``, and
 per-worker rows (``queued``, ``in_flight``, ``rate``, ``steals_won``,
-``steals_lost``). The same numbers surface as ``schedule.*`` perf
-counters (``schedule.dispatched/steals/reassigned/shed``, plus the
-``schedule.occupancy`` samples and the ``schedule.assign`` stage), on
+``steals_lost``). Those global counts are reads of the executor's
+``schedule.*`` perf counters, their only copy
+(``schedule.dispatched/steals/reassigned/shed/local_fallback``, next to
+the ``schedule.occupancy`` samples and the ``schedule.assign`` stage);
+they also surface on
 ``repro dashboard --fabric host:port`` (per-worker table and
 ``repro_fabric_*`` metrics), and in ``repro store audit --fabric
 host:port`` — sheds beyond ~5% of admissions raise
@@ -328,11 +346,7 @@ from repro.service.remote import (
     parse_route,
     worker_loop,
 )
-from repro.service.replication import (
-    QuorumError,
-    ReplicatedStore,
-    ReplicatedStoreStats,
-)
+from repro.service.replication import QuorumError, ReplicatedStore
 from repro.service.scheduler import (
     CLOSE_FABRIC,
     SCHEDULER_POLICIES,
@@ -377,7 +391,6 @@ __all__ = [
     "RemoteStore",
     "RemoteUnavailable",
     "ReplicatedStore",
-    "ReplicatedStoreStats",
     "RequestReport",
     "RetryPolicy",
     "SCHEDULER_POLICIES",

@@ -29,8 +29,9 @@ asyncio:
   refused with a typed ``overloaded`` response carrying a drain-time
   ``retry_after_s`` hint (batch-wall EWMA × batches ahead, scaled up when
   the remote fabric reports a deep part queue), instead of buffering
-  without bound until the planner OOMs. Sheds are counted here
-  (``n_shed``, ``schedule.shed``) and reported to the solve backend's
+  without bound until the planner OOMs. Sheds are counted as
+  ``schedule.shed`` in the server's recorder (read back as ``n_shed``)
+  and reported to the solve backend's
   ``note_shed`` when it has one, so the fabric ``stats`` verb and the
   auditor's ``elevated_load_shedding`` check see admission pressure.
 * **Per-client fairness** — pending requests queue per client and window
@@ -154,7 +155,6 @@ class AsyncCompileServer:
         self.perf = recorder_or_null(perf)
         self.n_batches = 0
         self.n_requests = 0
-        self.n_shed = 0  # admission refusals (typed overloaded responses)
         self.stopping = asyncio.Event()
         # Pending compiles queue *per client*; window assembly round-robins
         # across clients so a flooder cannot starve a light client.
@@ -207,7 +207,6 @@ class AsyncCompileServer:
             # Admission control: refuse *before* circuit construction —
             # a shed must stay cheap or shedding itself becomes the
             # bottleneck under exactly the flood it exists for.
-            self.n_shed += 1
             self.perf.count("schedule.shed")
             note_shed = getattr(self.service.backend, "note_shed", None)
             if callable(note_shed):
@@ -243,6 +242,12 @@ class AsyncCompileServer:
         lane.append(pending)
         self._pending_count += 1
         self._have_work.set()
+
+    @property
+    def n_shed(self) -> int:
+        """Admission refusals (typed overloaded responses), read from the
+        ``schedule.shed`` counter — its only copy."""
+        return self.perf.counters.get("schedule.shed", 0)
 
     def stats_payload(self) -> dict:
         """The server-side counter snapshot: the ``stats`` command's body

@@ -45,10 +45,12 @@ from repro.service.remote import (
     parse_remote_spec,
     parse_route,
 )
+from repro.service.store import HEALTH_COUNTERS, VOLUME_COUNTERS
+from repro.service.storeserver import ANTIENTROPY_COUNTERS
 
 #: Counters (inside the server's ``stats`` dict) that the poller turns
 #: into per-second rates from consecutive ``uptime_s``-stamped samples.
-RATED_COUNTERS = ("hits", "misses", "puts", "evictions")
+RATED_COUNTERS = VOLUME_COUNTERS
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,7 @@ def render_metrics(snapshot: Dict) -> str:
                 for r in up
             ],
         )
-    for counter in ("failovers", "degraded", "quorum_failures",
-                    "retry_exhausted"):
+    for counter in HEALTH_COUNTERS:
         values = [
             (r["target"], float(r["stats"].get(counter, 0) or 0))
             for r in up
@@ -363,8 +364,7 @@ def render_metrics(snapshot: Dict) -> str:
         [(r["target"], 1 if status.get("paused") else 0)
          for r, status in ae],
     )
-    for counter in ("rounds", "keys_healed", "bytes",
-                    "skipped_unreachable", "digest_skips"):
+    for counter in ANTIENTROPY_COUNTERS:
         emit(
             f"repro_antientropy_{counter}_total",
             f"Anti-entropy {counter} since loop start.", "counter",

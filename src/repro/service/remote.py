@@ -85,7 +85,7 @@ from repro.service.scheduler import (
     FabricScheduler,
     ScheduledPart,
 )
-from repro.service.store import StoreBackend, StoreStats, StoreVersionError
+from repro.service.store import VOLUME_COUNTERS, StoreBackend, StoreVersionError
 from repro.service.storeserver import MAX_BATCH_KEYS, decode_entry, encode_entry
 
 REMOTE_SCHEME = "remote://"
@@ -269,30 +269,6 @@ def split_replicas(spec: str) -> List[str]:
     return parts
 
 
-@dataclass
-class RemoteStoreStats(StoreStats):
-    """Client-side store counters plus wire degradations.
-
-    ``degraded`` counts operations absorbed after a failed
-    reconnect-and-retry — each one is a get served as a miss, a dropped
-    cache write, or an empty snapshot. ``retry_exhausted`` counts the
-    underlying RPCs that burned their whole :class:`RetryPolicy` budget —
-    it ticks even when a raising primitive's caller (failover, repair,
-    anti-entropy) goes on to recover elsewhere, so a flapping host shows
-    up here before anything actually degrades. Both zero on a healthy
-    fabric.
-    """
-
-    degraded: int = 0
-    retry_exhausted: int = 0
-
-    def to_dict(self) -> Dict[str, float]:
-        payload = super().to_dict()
-        payload["degraded"] = self.degraded
-        payload["retry_exhausted"] = self.retry_exhausted
-        return payload
-
-
 class RemoteStore(StoreBackend):
     """:class:`StoreBackend` over a :class:`~repro.service.storeserver.StoreServer`.
 
@@ -305,7 +281,19 @@ class RemoteStore(StoreBackend):
     bound) lives with the server's store, which cannot see this client's
     in-flight claims. Run remote stores unbounded, or bound them knowing
     eviction is advisory across hosts — same caveat as two local writers.
+
+    Besides the volume counters, ``stats`` reports two wire counters.
+    ``degraded`` counts operations absorbed after a failed
+    reconnect-and-retry — each one is a get served as a miss, a dropped
+    cache write, or an empty snapshot. ``retry_exhausted`` counts the
+    underlying RPCs that burned their whole :class:`RetryPolicy` budget —
+    it ticks even when a raising primitive's caller (failover, repair,
+    anti-entropy) goes on to recover elsewhere, so a flapping host shows
+    up here before anything actually degrades. Both zero on a healthy
+    fabric.
     """
+
+    COUNTERS = VOLUME_COUNTERS + ("degraded", "retry_exhausted")
 
     def __init__(
         self,
@@ -334,7 +322,6 @@ class RemoteStore(StoreBackend):
         self.retry = retry if retry is not None else RetryPolicy()
         self.host, self.port = parse_remote_spec(spec)
         self.timeout_s = float(timeout_s)
-        self.stats = RemoteStoreStats()
         self.perf = recorder_or_null(perf)
         self.stat_prefix = stat_prefix
         self._lock = threading.RLock()
@@ -420,8 +407,7 @@ class RemoteStore(StoreBackend):
                     on_failure=self._disconnect,
                 )
             except (OSError, ValueError) as exc:
-                self.stats.retry_exhausted += 1  # already under self._lock
-                self.perf.count(self.stat_prefix + "retry_exhausted")
+                self._count("retry_exhausted")
                 raise RemoteUnavailable(
                     f"store at {self.address} unreachable after "
                     f"{self.retry.attempts} attempts: {exc}"
@@ -432,19 +418,6 @@ class RemoteStore(StoreBackend):
         if response.get("kind") == "fingerprint":
             raise StoreVersionError(message)
         raise RuntimeError(f"remote store at {self.address}: {message}")
-
-    def _degrade(self) -> None:
-        with self._lock:  # counters race across concurrent batch threads
-            self.stats.degraded += 1
-        self.perf.count(self.stat_prefix + "degraded")
-
-    def _count_n(self, field: str, n: int) -> None:
-        """Stats increment, serialized (read-modify-write races)."""
-        if n <= 0:
-            return
-        with self._lock:
-            setattr(self.stats, field, getattr(self.stats, field) + n)
-        self.perf.count(self.stat_prefix + field, n)
 
     # ----------------------------------------------------- raising wire ops
     # fetch_*/send_* speak the protocol and RAISE RemoteUnavailable on a
@@ -515,7 +488,7 @@ class RemoteStore(StoreBackend):
         try:
             return self.fetch_keys()
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return []
 
     def snapshot(self) -> PulseLibrary:
@@ -524,7 +497,7 @@ class RemoteStore(StoreBackend):
         try:
             return self.fetch_snapshot()
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return PulseLibrary()
 
     def get_many(
@@ -538,14 +511,14 @@ class RemoteStore(StoreBackend):
         try:
             entries = self.fetch_many(keys, peek)
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             if not peek:
-                self._count_n("misses", len(keys))
+                self._count("misses", len(keys))
             return [None] * len(keys)
         if not peek:
             hits = sum(1 for e in entries if e is not None)
-            self._count_n("hits", hits)
-            self._count_n("misses", len(entries) - hits)
+            self._count("hits", hits)
+            self._count("misses", len(entries) - hits)
         return entries
 
     def put_many(self, entries: Sequence[LibraryEntry], flush: bool = True) -> None:
@@ -554,15 +527,15 @@ class RemoteStore(StoreBackend):
         try:
             self.send_many(entries, flush)
         except RemoteUnavailable:
-            self._degrade()  # cache write lost; the caller keeps its record
+            self._count("degraded")  # cache write lost; the caller keeps its record
             return
-        self._count_n("puts", len(entries))
+        self._count("puts", len(entries))
 
     def flush(self) -> None:
         try:
             self.send_flush()
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
 
     def claim_fingerprint(self, fingerprint: str) -> None:
         """Server-side guard: mismatch raises loudly; an unreachable
@@ -577,7 +550,7 @@ class RemoteStore(StoreBackend):
                     {"op": "fingerprint", "fingerprint": self._fingerprint}
                 )
             except RemoteUnavailable:
-                self._degrade()
+                self._count("degraded")
 
     def fingerprints(self) -> List[str]:
         """The server store's engine stamps (empty when unreachable, or
@@ -585,7 +558,7 @@ class RemoteStore(StoreBackend):
         try:
             response = self._rpc({"op": "stats"})
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return []
         return list(response.get("fingerprints") or [])
 
@@ -601,7 +574,7 @@ class RemoteStore(StoreBackend):
         try:
             response = self._rpc({"op": "stats"})
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return None
         return {
             "stats": response["stats"],
@@ -694,7 +667,6 @@ class RemoteExecutor:
             perf=self.perf,
         )
         self.started_at = time.monotonic()
-        self.n_local_fallback = 0
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
@@ -721,6 +693,10 @@ class RemoteExecutor:
     @property
     def n_steals(self) -> int:
         return self.scheduler.n_steals
+
+    @property
+    def n_local_fallback(self) -> int:
+        return self.perf.counters.get("schedule.local_fallback", 0)
 
     def live_workers(self) -> int:
         return self.scheduler.connected_count()
@@ -892,7 +868,6 @@ class RemoteExecutor:
         """No workers left: run whatever is still scheduled in-process."""
         for item in self.scheduler.take_job(job):
             _, worker, tasks = _unpack(item.payload)
-            self.n_local_fallback += 1
             self.perf.count("schedule.local_fallback")
             try:
                 outcome = run_part(engine, worker, tasks, job.started_at)

@@ -56,8 +56,6 @@ never lets mismatched data slip into one copy of the shard.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core.cache import LibraryEntry, PulseLibrary
@@ -65,14 +63,13 @@ from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.service.remote import (
     WRITE_CONCERNS,
     RemoteStore,
-    RemoteStoreStats,
     RemoteUnavailable,
     RetryPolicy,
     parse_route,
     retry_from_params,
     split_replicas,
 )
-from repro.service.store import StoreBackend
+from repro.service.store import STORE_COUNTERS, StoreBackend, StoreStats
 
 T = TypeVar("T")
 
@@ -108,33 +105,6 @@ def quorum_required(write_concern: str, n_replicas: int) -> int:
     return 1  # w=1
 
 
-@dataclass
-class ReplicatedStoreStats(RemoteStoreStats):
-    """Replica-set counters: wire degradations, read failovers, quorums.
-
-    ``failovers`` counts reads that had to skip a dead replica and were
-    served by a later one — nonzero means a replica is down (or flapping)
-    while the data stays fully served. ``degraded`` keeps the
-    :class:`RemoteStoreStats` meaning: an operation absorbed after *all*
-    replicas failed (reads), plus every replica-level dropped write.
-    ``acked`` counts entries whose write met the route's quorum;
-    ``quorum_failures`` counts write operations that could not and raised
-    :class:`QuorumError` — the batch-report pair that turns "the fleet is
-    degrading" from a log archeology exercise into a column.
-    """
-
-    failovers: int = 0
-    acked: int = 0
-    quorum_failures: int = 0
-
-    def to_dict(self) -> Dict[str, float]:
-        payload = super().to_dict()
-        payload["failovers"] = self.failovers
-        payload["acked"] = self.acked
-        payload["quorum_failures"] = self.quorum_failures
-        return payload
-
-
 class ReplicatedStore(StoreBackend):
     """:class:`StoreBackend` over an ordered list of replica hosts.
 
@@ -144,7 +114,21 @@ class ReplicatedStore(StoreBackend):
     the same digest range — this class does no routing; a
     :class:`~repro.service.sharding.ShardedStore` routes digest ranges
     *onto* replica sets.
+
+    ``stats`` reports the replica-set counters on top of the
+    :class:`~repro.service.remote.RemoteStore` ones. ``failovers`` counts
+    reads that had to skip a dead replica and were served by a later one
+    (the sum of the per-replica ``failover.r<i>`` counters) — nonzero
+    means a replica is down (or flapping) while the data stays fully
+    served. ``degraded`` is an operation absorbed after *all* replicas
+    failed (reads), plus every replica-level dropped write. ``acked``
+    counts entries whose write met the route's quorum; ``quorum_failures``
+    counts write operations that could not and raised
+    :class:`QuorumError` — the batch-report pair that turns "the fleet is
+    degrading" from a log archeology exercise into a column.
     """
+
+    COUNTERS = STORE_COUNTERS
 
     def __init__(
         self,
@@ -184,9 +168,6 @@ class ReplicatedStore(StoreBackend):
             for i, s in enumerate(specs)
         ]
         self.quorum = quorum_required(self.write_concern, len(self.replicas))
-        self._lock = threading.Lock()
-        self._stats = ReplicatedStoreStats()
-        self.failovers_by_replica: List[int] = [0] * len(self.replicas)
 
     @property
     def address(self) -> str:
@@ -197,44 +178,34 @@ class ReplicatedStore(StoreBackend):
             replica.close()
 
     # ------------------------------------------------------------- counters
+    def _failovers(self, index: int) -> int:
+        return self.perf.counters.get(f"{self.stat_prefix}failover.r{index}", 0)
+
     @property
-    def stats(self) -> ReplicatedStoreStats:
-        """Merged snapshot: logical read/write counters from this store,
-        ``degraded`` folded in from every replica's dropped writes."""
-        merged = ReplicatedStoreStats()
-        with self._lock:
-            merged.hits = self._stats.hits
-            merged.misses = self._stats.misses
-            merged.puts = self._stats.puts
-            merged.evictions = self._stats.evictions
-            merged.failovers = self._stats.failovers
-            merged.degraded = self._stats.degraded
-            merged.acked = self._stats.acked
-            merged.quorum_failures = self._stats.quorum_failures
-        for replica in self.replicas:
-            merged.degraded += replica.stats.degraded
-            merged.retry_exhausted += replica.stats.retry_exhausted
+    def stats(self) -> StoreStats:
+        """This store's own counters, plus ``failovers`` summed over the
+        per-replica ``failover.r<i>`` counters and every replica's own
+        ``degraded``/``retry_exhausted``."""
+        merged = super().stats
+        for index, replica in enumerate(self.replicas):
+            wire = replica.stats
+            merged += StoreStats({
+                "failovers": self._failovers(index),
+                "degraded": wire.degraded,
+                "retry_exhausted": wire.retry_exhausted,
+            })
         return merged
 
     def stats_by_replica(self) -> List[Dict[str, float]]:
         """Per-replica health: each replica's own wire counters plus the
         failovers *it* caused (reads that skipped it because it was down)."""
-        with self._lock:
-            failovers = list(self.failovers_by_replica)
         rows = []
         for index, replica in enumerate(self.replicas):
             row = replica.stats.to_dict()
-            row["failovers"] = failovers[index]
+            row["failovers"] = self._failovers(index)
             row["address"] = replica.address
             rows.append(row)
         return rows
-
-    def _count_n(self, field: str, n: int) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            setattr(self._stats, field, getattr(self._stats, field) + n)
-        self.perf.count(self.stat_prefix + field, n)
 
     # ---------------------------------------------------------------- reads
     def _failover_read(self, op: Callable[[RemoteStore], T]) -> T:
@@ -249,10 +220,7 @@ class ReplicatedStore(StoreBackend):
             try:
                 result = op(replica)
             except RemoteUnavailable as exc:
-                with self._lock:
-                    self.failovers_by_replica[index] += 1
-                    self._stats.failovers += 1
-                self.perf.count(f"{self.stat_prefix}failover.r{index}")
+                self._count(f"failover.r{index}")
                 last = exc
                 continue
             return result
@@ -265,14 +233,14 @@ class ReplicatedStore(StoreBackend):
         try:
             return self._failover_read(lambda r: r.fetch_keys())
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return []
 
     def snapshot(self) -> PulseLibrary:
         try:
             return self._failover_read(lambda r: r.fetch_snapshot())
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             return PulseLibrary()
 
     def get_many(
@@ -283,14 +251,14 @@ class ReplicatedStore(StoreBackend):
         try:
             entries = self._failover_read(lambda r: r.fetch_many(keys, peek))
         except RemoteUnavailable:
-            self._degrade()
+            self._count("degraded")
             if not peek:
-                self._count_n("misses", len(keys))
+                self._count("misses", len(keys))
             return [None] * len(keys)
         if not peek:
             hits = sum(1 for e in entries if e is not None)
-            self._count_n("hits", hits)
-            self._count_n("misses", len(entries) - hits)
+            self._count("hits", hits)
+            self._count("misses", len(entries) - hits)
         return entries
 
     def fingerprints(self) -> List[str]:
@@ -301,9 +269,6 @@ class ReplicatedStore(StoreBackend):
         for replica in self.replicas:
             seen.update(replica.fingerprints())
         return sorted(seen)
-
-    def _degrade(self) -> None:
-        self._count_n("degraded", 1)
 
     # --------------------------------------------------------------- writes
     def _fan_out_write(
@@ -322,10 +287,10 @@ class ReplicatedStore(StoreBackend):
             try:
                 send(replica)
             except RemoteUnavailable:
-                replica._degrade()  # dropped write at this replica
+                replica._count("degraded")  # dropped write at this replica
                 continue
             if puts_per_delivery:
-                replica._count_n("puts", puts_per_delivery)
+                replica._count("puts", puts_per_delivery)
             delivered += 1
         return delivered
 
@@ -342,12 +307,12 @@ class ReplicatedStore(StoreBackend):
         ``stats.degraded`` rather than fatal.
         """
         if delivered >= self.quorum:
-            self._count_n("acked", n_entries)
+            self._count("acked", n_entries)
             return
         if self.write_concern == "1":
-            self._degrade()  # fully lost cache write; caller keeps its record
+            self._count("degraded")  # fully lost cache write; caller keeps its record
             return
-        self._count_n("quorum_failures", 1)
+        self._count("quorum_failures")
         raise QuorumError(
             self.address, self.quorum, delivered, len(self.replicas)
         )
@@ -360,7 +325,7 @@ class ReplicatedStore(StoreBackend):
             puts_per_delivery=len(entries),
         )
         if delivered:
-            self._count_n("puts", len(entries))
+            self._count("puts", len(entries))
         self._check_quorum(delivered, len(entries))
 
     def flush(self) -> None:

@@ -42,9 +42,10 @@ Two policies, selectable per executor (``--fabric-policy``):
   explicit; the bench's straggler scenario measures the steal policy
   against it.
 
-Counters surface under ``schedule.*`` in the executor's perf recorder
-(``schedule.steals``, ``schedule.reassigned``, ``schedule.shed``,
-``schedule.occupancy``) and in the fabric ``stats`` verb payload (global
+Counters live under ``schedule.*`` in the executor's perf recorder
+(``schedule.dispatched``, ``schedule.steals``, ``schedule.reassigned``,
+``schedule.shed``, plus ``schedule.occupancy`` samples) and nowhere
+else; the fabric ``stats`` verb payload reads them (global
 ``n_steals``/``n_shed`` plus per-worker ``queued``/``in_flight``/
 ``rate``/``steals_won``/``steals_lost`` rows).
 """
@@ -140,10 +141,25 @@ class FabricScheduler:
         self._pending: Deque[ScheduledPart] = deque()
         self._next_label = 0
         self._closing = False
-        self.n_dispatched = 0
-        self.n_steals = 0
-        self.n_reassigned = 0
-        self.n_shed = 0  # load-shed events the front door reported
+
+    # Read-only views of the ``schedule.*`` counters in ``perf``, their
+    # only copy. ``n_shed`` counts load-shed events the front door
+    # reported through :meth:`note_shed`.
+    @property
+    def n_dispatched(self) -> int:
+        return self.perf.counters.get("schedule.dispatched", 0)
+
+    @property
+    def n_steals(self) -> int:
+        return self.perf.counters.get("schedule.steals", 0)
+
+    @property
+    def n_reassigned(self) -> int:
+        return self.perf.counters.get("schedule.reassigned", 0)
+
+    @property
+    def n_shed(self) -> int:
+        return self.perf.counters.get("schedule.shed", 0)
 
     @staticmethod
     def _job_done(part: ScheduledPart) -> bool:
@@ -259,7 +275,6 @@ class FabricScheduler:
                     slot = self._slots[label]
                     slot.in_flight += 1
                     slot.in_flight_weight += part.weight
-                    self.n_dispatched += 1
                     self.perf.count("schedule.dispatched")
                     self.perf.record(
                         "schedule.occupancy", self._occupancy_locked()
@@ -287,7 +302,6 @@ class FabricScheduler:
         victim.queued_weight -= part.weight
         victim.steals_lost += 1
         slot.steals_won += 1
-        self.n_steals += 1
         self.perf.count("schedule.steals")
         return part
 
@@ -351,7 +365,6 @@ class FabricScheduler:
             slot.in_flight_weight -= part.weight
             if not self._job_done(part):
                 self._pending.appendleft(part)
-                self.n_reassigned += 1
                 self.perf.count("schedule.reassigned")
             self._cond.notify_all()
 
@@ -359,8 +372,6 @@ class FabricScheduler:
         """The front door refused ``n`` requests against scheduler state;
         counted here so the fabric ``stats`` verb (and the auditor's
         ``elevated_load_shedding`` check) can see admission pressure."""
-        with self._cond:
-            self.n_shed += int(n)
         self.perf.count("schedule.shed", n)
 
     # ------------------------------------------------------------- job admin

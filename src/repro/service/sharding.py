@@ -15,8 +15,8 @@ stay balanced without rebalancing metadata, and the mapping is a pure
 function of (digest, N) — no directory lookups, no hot shard map.
 
 Each shard is an ordinary :class:`~repro.service.store.PulseStore`: its own
-manifest, its own cross-process flock, its own LRU bound and
-:class:`~repro.service.store.StoreStats`. That is the point of the split —
+manifest, its own cross-process flock, its own LRU bound and its own
+counters (``store.shard<i>.*``). That is the point of the split —
 writers to different key ranges never serialize on one global lock, and a
 ``snapshot()`` of the logical store reads per-shard snapshots (each under
 its own shard lock) and merges them, so no global consistency point is
@@ -270,34 +270,8 @@ class ShardedStore(StoreBackend):
     # ------------------------------------------------------------------ api
     @property
     def stats(self) -> StoreStats:
-        """Merged per-shard counters (a fresh snapshot each access)."""
-        if self.routes is not None:
-            from repro.service.replication import ReplicatedStoreStats
-
-            merged = ReplicatedStoreStats()
-        else:
-            merged = StoreStats()
-        for shard in self.shards:
-            shard_stats = shard.stats
-            merged.hits += shard_stats.hits
-            merged.misses += shard_stats.misses
-            merged.puts += shard_stats.puts
-            merged.evictions += shard_stats.evictions
-            if hasattr(merged, "degraded"):
-                merged.degraded += getattr(shard_stats, "degraded", 0)
-            if hasattr(merged, "retry_exhausted"):
-                merged.retry_exhausted += getattr(
-                    shard_stats, "retry_exhausted", 0
-                )
-            if hasattr(merged, "failovers"):
-                merged.failovers += getattr(shard_stats, "failovers", 0)
-            if hasattr(merged, "acked"):
-                merged.acked += getattr(shard_stats, "acked", 0)
-            if hasattr(merged, "quorum_failures"):
-                merged.quorum_failures += getattr(
-                    shard_stats, "quorum_failures", 0
-                )
-        return merged
+        """The sum of the shards' counters, over the union of their names."""
+        return sum((shard.stats for shard in self.shards[1:]), self.shards[0].stats)
 
     def stats_by_shard(self) -> List[Dict[str, float]]:
         return [shard.stats.to_dict() for shard in self.shards]

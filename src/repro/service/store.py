@@ -16,7 +16,8 @@ either the previous manifest (orphan entry file, harmless) or the new one
 written by an incompatible layout raises :class:`StoreVersionError`.
 
 The store keeps the full library in memory (entries are small), counts
-hits/misses/puts/evictions in :class:`StoreStats`, and optionally bounds the
+hits/misses/puts/evictions in its perf recorder (read back as
+:class:`StoreStats`), and optionally bounds the
 entry count with least-recently-used eviction. Recency (last ``get``/``put``
 of the key) is bumped in memory and persisted at the next ``flush`` — every
 ``put(flush=True)`` and every service batch flushes, and ``repro serve``
@@ -48,8 +49,7 @@ import tempfile
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Optional, Sequence
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 try:
     import fcntl
@@ -90,14 +90,46 @@ def key_digest(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()
 
 
-@dataclass
-class StoreStats:
-    """Cumulative counters for one store instance (not persisted)."""
+#: Every store counter name, in report order: the traffic volumes every
+#: backend counts, ``acked`` (replicated writes that met their quorum),
+#: then the health counters only wire-crossing backends report (the
+#: dashboard's ``/metrics`` text follows this order).
+VOLUME_COUNTERS = ("hits", "misses", "puts", "evictions")
+HEALTH_COUNTERS = ("failovers", "degraded", "quorum_failures", "retry_exhausted")
+STORE_COUNTERS = VOLUME_COUNTERS + ("acked",) + HEALTH_COUNTERS
 
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
+
+class StoreStats:
+    """Read-only snapshot of one store's counters (not persisted).
+
+    Carries the counter names its backend reports (a subset of
+    :data:`STORE_COUNTERS`) as attributes; reading a name the backend
+    does not report raises ``AttributeError``. ``a + b`` sums two
+    snapshots over the union of their names — how a sharded or
+    replicated store merges its parts.
+    """
+
+    def __init__(self, values: Dict[str, int]) -> None:
+        self._values = {n: int(values[n]) for n in STORE_COUNTERS if n in values}
+
+    @classmethod
+    def read(
+        cls, perf: PerfRecorder, prefix: str, names: Sequence[str]
+    ) -> "StoreStats":
+        """The counters ``names`` as ``perf`` holds them under ``prefix``."""
+        return cls({n: perf.counters.get(prefix + n, 0) for n in names})
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            return self.__dict__["_values"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def __add__(self, other: "StoreStats") -> "StoreStats":
+        merged = dict(self._values)
+        for name, value in other._values.items():
+            merged[name] = merged.get(name, 0) + value
+        return StoreStats(merged)
 
     @property
     def requests(self) -> int:
@@ -108,13 +140,7 @@ class StoreStats:
         return self.hits / self.requests if self.requests else 0.0
 
     def to_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        return {**self._values, "hit_rate": self.hit_rate}
 
 
 def _atomic_write_json(path: str, payload: Dict) -> None:
@@ -143,7 +169,7 @@ class StoreBackend(abc.ABC):
     remote, the digest-range routing table), or a replica set
     (:class:`repro.service.replication.ReplicatedStore`).
 
-    A backend implements six core methods plus the ``stats`` attribute:
+    A backend implements six core methods:
 
     * ``keys()`` — every stored canonical group key;
     * ``snapshot()`` — an independent, internally consistent
@@ -159,9 +185,13 @@ class StoreBackend(abc.ABC):
     * ``flush()`` — makes deferred manifest state (and recency bumps)
       visible to future (re)loads;
     * ``claim_fingerprint(fp)`` — refuses to serve results produced under a
-      different engine/run identity;
-    * ``stats`` — hit/miss/put/eviction counters for this instance (a
-      sharded backend merges per-shard counters).
+      different engine/run identity.
+
+    Counters live in one place: the backend's ``perf`` recorder, under its
+    ``stat_prefix`` (``store.hits``, ``store.shard3.puts``), incremented by
+    :meth:`_count` and nowhere else. ``stats`` only reads them: a
+    :class:`StoreStats` of the backend's :attr:`COUNTERS` (a sharded store
+    sums its shards, a replicated store adds its replicas' wire counters).
 
     Everything else is derived once, here: ``get``/``get_key``/``peek_key``
     are one-key ``get_many`` calls, ``put`` is a one-entry ``put_many``,
@@ -172,7 +202,10 @@ class StoreBackend(abc.ABC):
     occurrences of a stored group hit.
     """
 
-    stats: StoreStats
+    #: The counter names ``stats`` reports for this backend.
+    COUNTERS: Tuple[str, ...] = VOLUME_COUNTERS
+    perf: PerfRecorder
+    stat_prefix: str
 
     # ------------------------------------------------------------------ core
     @abc.abstractmethod
@@ -281,6 +314,16 @@ class StoreBackend(abc.ABC):
         }
 
     # ------------------------------------------------------------ reporting
+    @property
+    def stats(self) -> StoreStats:
+        """This instance's counters, read from its perf recorder."""
+        return StoreStats.read(self.perf, self.stat_prefix, self.COUNTERS)
+
+    def _count(self, name: str, n: int = 1) -> None:
+        """The one increment site of a store counter (zero records nothing)."""
+        if n > 0:
+            self.perf.count(self.stat_prefix + name, n)
+
     def stats_by_shard(self) -> List[Dict[str, float]]:
         """Per-shard stats snapshots; a single directory is one 'shard'."""
         return [self.stats.to_dict()]
@@ -329,9 +372,8 @@ class PulseStore(StoreBackend):
             raise ValueError("max_entries must be >= 1")
         self.root = str(root)
         self.max_entries = max_entries
-        self.stats = StoreStats()
         self.perf = recorder_or_null(perf)
-        # Shards of one logical store namespace their perf names
+        # Shards of one logical store namespace their counters
         # ("store.shard3.hits") so `repro perf` shows the per-shard split.
         self.stat_prefix = stat_prefix
         # EvictionGuard callables, bound methods wrapped in WeakMethod
@@ -577,7 +619,7 @@ class PulseStore(StoreBackend):
                 self._library.add(entry)
                 self._tombstones.discard(key_digest(key))
                 self._touch(key)
-                self._count("puts", 1)
+                self._count("puts")
                 if self.max_entries is not None:
                     while len(self._library) > self.max_entries:
                         if not self._evict_lru(protect=key):
@@ -589,11 +631,6 @@ class PulseStore(StoreBackend):
     def _touch(self, key: bytes) -> None:
         self._clock += 1
         self._recency[key] = self._clock
-
-    def _count(self, field: str, n: int) -> None:
-        if n > 0:
-            setattr(self.stats, field, getattr(self.stats, field) + n)
-            self.perf.count(self.stat_prefix + field, n)
 
     def _evict_lru(self, protect: bytes) -> bool:
         """Evict the coldest unprotected key; False when none is evictable.
@@ -622,5 +659,5 @@ class PulseStore(StoreBackend):
         path = self._entry_path(victim)
         if os.path.exists(path):
             os.unlink(path)
-        self._count("evictions", 1)
+        self._count("evictions")
         return True

@@ -238,6 +238,12 @@ def split_peers(peers: Union[str, Sequence[str]]) -> List[str]:
     return specs
 
 
+#: Cumulative anti-entropy counters, in report order.
+ANTIENTROPY_COUNTERS = (
+    "rounds", "keys_healed", "bytes", "skipped_unreachable", "digest_skips",
+)
+
+
 class AntiEntropyLoop:
     """Background reconciliation of one server's store with its peers.
 
@@ -255,9 +261,10 @@ class AntiEntropyLoop:
     round never kills the daemon thread. ``pause()``/``resume()`` gate the
     background rounds (the ``antientropy`` protocol op drives them over
     the wire, plus ``action=heal`` for a synchronous on-demand round);
-    :meth:`status` is the observable state, and the same counters flow to
-    the perf recorder as ``store.antientropy.rounds`` / ``.keys_healed`` /
-    ``.bytes`` / ``.skipped_unreachable``.
+    :meth:`status` is the observable state. Its cumulative counters live
+    only in the perf recorder (``store.antientropy.rounds`` /
+    ``.keys_healed`` / ``.bytes`` / ``.skipped_unreachable`` /
+    ``.digest_skips``); :attr:`counters` and :meth:`status` read them.
 
     Sizing note: every round opens with one ``keys_digest`` probe per
     peer (one hash, ~100 bytes); only a mismatch pays the O(union of key
@@ -287,15 +294,7 @@ class AntiEntropyLoop:
         self.timeout_s = float(timeout_s)
         self.perf = recorder_or_null(perf)
         self.stat_prefix = stat_prefix
-        self.counters: Dict[str, int] = {
-            "rounds": 0,
-            "keys_healed": 0,
-            "bytes": 0,
-            "skipped_unreachable": 0,
-            "digest_skips": 0,
-        }
         self._clients = None  # built lazily; RemoteStore imports circularly
-        self._lock = threading.Lock()  # counters
         self._round_lock = threading.Lock()  # one round at a time
         self._stop = threading.Event()
         self._paused = threading.Event()
@@ -358,20 +357,21 @@ class AntiEntropyLoop:
             ]
         return self._clients
 
-    def _count(self, field: str, n: int = 1) -> None:
-        if n <= 0:
-            return
-        with self._lock:
-            self.counters[field] += n
-        self.perf.count(self.stat_prefix + field, n)
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Cumulative totals, read from the perf recorder (their only copy)."""
+        return {
+            name: self.perf.counters.get(self.stat_prefix + name, 0)
+            for name in ANTIENTROPY_COUNTERS
+        }
 
     def run_round(self) -> Dict[str, int]:
         """One synchronous reconciliation pass over every peer.
 
         Serialized against the background thread (``action=heal`` over the
         wire shares this method), so two rounds never interleave.
-        Returns this round's deltas; cumulative totals live in
-        :attr:`counters`/:meth:`status`.
+        Returns this round's deltas; :attr:`counters`/:meth:`status` read
+        the cumulative totals.
         """
         from repro.service.remote import RemoteUnavailable
 
@@ -425,31 +425,27 @@ class AntiEntropyLoop:
                 moved_bytes += sum(
                     len(encode_entry(e)) for e in pulled + pushed
                 )
-        self._count("rounds")
-        self._count("keys_healed", healed)
-        self._count("bytes", moved_bytes)
-        self._count("skipped_unreachable", skipped)
-        self._count("digest_skips", digest_skips)
-        return {
+        deltas = {
             "keys_healed": healed,
             "bytes": moved_bytes,
             "skipped_unreachable": skipped,
             "digest_skips": digest_skips,
         }
+        for name, n in {"rounds": 1, **deltas}.items():
+            if n > 0:
+                self.perf.count(self.stat_prefix + name, n)
+        return deltas
 
     # -------------------------------------------------------------- status
     def status(self) -> Dict:
         """Wire-shaped state: config, liveness, and cumulative counters."""
-        with self._lock:
-            counters = dict(self.counters)
-        payload = {
+        return {
             "peers": list(self.peer_specs),
             "interval_s": self.interval_s,
             "paused": self._paused.is_set(),
             "running": self._thread is not None and self._thread.is_alive(),
+            **self.counters,
         }
-        payload.update(counters)
-        return payload
 
 
 class StoreServer:

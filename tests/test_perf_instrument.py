@@ -1,5 +1,8 @@
 """Perf subsystem: recorder semantics, report serialization, pipeline wiring."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,34 @@ def test_counters_accumulate():
     recorder.count("iterations", 5)
     recorder.count("groups")
     assert recorder.counters == {"iterations": 15, "groups": 1}
+
+
+def test_concurrent_counts_and_records_lose_nothing():
+    # Stores and schedulers share one recorder across batch threads, and
+    # the recorder is the only copy of their counters. A tiny switch
+    # interval forces thread switches inside the read-modify-write.
+    recorder = PerfRecorder()
+    n_threads, n_calls = 4, 20_000
+
+    def work():
+        for _ in range(n_calls):
+            recorder.count("x")
+            recorder.record("s", 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    report = recorder.report()
+    assert report.counters == {"x": n_threads * n_calls}
+    assert report.stage("s").calls == n_threads * n_calls
 
 
 def test_report_snapshot_is_independent():

@@ -27,7 +27,7 @@ from repro.service import (
     worst_severity,
 )
 from repro.service.audit import CHECKS, EXIT_BY_SEVERITY, AuditThresholds
-from repro.service.dashboard import fleet_targets, serve_dashboard
+from repro.service.dashboard import fleet_targets, render_metrics, serve_dashboard
 from repro.service.frontdoor import cmd_dashboard, cmd_store
 from repro.utils.config import PipelineConfig
 from repro.workloads import qft
@@ -421,3 +421,151 @@ def test_poller_computes_rates_from_server_uptime_deltas(tmp_path, entries):
     finally:
         dash.stop()
         server.stop()
+
+
+# A fixed poller snapshot: one replicated target reporting every store
+# counter (plus one down replica), one anti-entropy block, one fabric block.
+METRICS_SNAPSHOT = {
+    "polls": 7,
+    "targets": [
+        {
+            "target": "shard-0/replica-0", "up": True, "uptime_s": 42.5,
+            "restarts": 1, "entries": 11, "non_converged": 2,
+            "stats": {
+                "hits": 9, "misses": 3, "puts": 11, "evictions": 0,
+                "hit_rate": 0.75, "degraded": 2, "retry_exhausted": 5,
+                "failovers": 4, "acked": 11, "quorum_failures": 1,
+            },
+            "antientropy": {
+                "running": True, "paused": False, "rounds": 6,
+                "keys_healed": 3, "bytes": 4096,
+                "skipped_unreachable": 1, "digest_skips": 4,
+            },
+        },
+        {"target": "shard-0/replica-1", "up": False},
+    ],
+    "fabric": {
+        "up": True, "workers_connected": 2, "parts_in_flight": 1,
+        "parts_queued": 3, "n_dispatched": 12, "n_steals": 2,
+        "n_reassigned": 1, "n_shed": 4, "n_local_fallback": 0,
+        "workers": {
+            "worker1": {"connected": True, "queued": 2, "in_flight": 1,
+                        "parts": 7, "steals_won": 2, "steals_lost": 0},
+            "worker2": {"connected": False, "queued": 0, "in_flight": 0,
+                        "parts": 5, "steals_won": 0, "steals_lost": 2},
+        },
+    },
+}
+
+METRICS_TEXT = """\
+# HELP repro_store_up Whether the last stats poll answered.
+# TYPE repro_store_up gauge
+repro_store_up{target="shard-0/replica-0"} 1
+repro_store_up{target="shard-0/replica-1"} 0
+# HELP repro_store_uptime_seconds Server-stamped monotonic uptime.
+# TYPE repro_store_uptime_seconds gauge
+repro_store_uptime_seconds{target="shard-0/replica-0"} 42.5
+# HELP repro_store_restarts_total Uptime regressions seen by this poller.
+# TYPE repro_store_restarts_total counter
+repro_store_restarts_total{target="shard-0/replica-0"} 1
+# HELP repro_store_entries Entries held by the served store.
+# TYPE repro_store_entries gauge
+repro_store_entries{target="shard-0/replica-0"} 11
+# HELP repro_store_hits_total Store hits since server start.
+# TYPE repro_store_hits_total counter
+repro_store_hits_total{target="shard-0/replica-0"} 9
+# HELP repro_store_misses_total Store misses since server start.
+# TYPE repro_store_misses_total counter
+repro_store_misses_total{target="shard-0/replica-0"} 3
+# HELP repro_store_puts_total Store puts since server start.
+# TYPE repro_store_puts_total counter
+repro_store_puts_total{target="shard-0/replica-0"} 11
+# HELP repro_store_evictions_total Store evictions since server start.
+# TYPE repro_store_evictions_total counter
+repro_store_evictions_total{target="shard-0/replica-0"} 0
+# HELP repro_store_failovers_total Store failovers since server start.
+# TYPE repro_store_failovers_total counter
+repro_store_failovers_total{target="shard-0/replica-0"} 4
+# HELP repro_store_degraded_total Store degraded since server start.
+# TYPE repro_store_degraded_total counter
+repro_store_degraded_total{target="shard-0/replica-0"} 2
+# HELP repro_store_quorum_failures_total Store quorum_failures since server start.
+# TYPE repro_store_quorum_failures_total counter
+repro_store_quorum_failures_total{target="shard-0/replica-0"} 1
+# HELP repro_store_retry_exhausted_total Store retry_exhausted since server start.
+# TYPE repro_store_retry_exhausted_total counter
+repro_store_retry_exhausted_total{target="shard-0/replica-0"} 5
+# HELP repro_store_non_converged Entries that never converged (absent when unknown).
+# TYPE repro_store_non_converged gauge
+repro_store_non_converged{target="shard-0/replica-0"} 2
+# HELP repro_antientropy_running Whether the anti-entropy loop thread is alive.
+# TYPE repro_antientropy_running gauge
+repro_antientropy_running{target="shard-0/replica-0"} 1
+# HELP repro_antientropy_paused Whether the anti-entropy loop is paused.
+# TYPE repro_antientropy_paused gauge
+repro_antientropy_paused{target="shard-0/replica-0"} 0
+# HELP repro_antientropy_rounds_total Anti-entropy rounds since loop start.
+# TYPE repro_antientropy_rounds_total counter
+repro_antientropy_rounds_total{target="shard-0/replica-0"} 6
+# HELP repro_antientropy_keys_healed_total Anti-entropy keys_healed since loop start.
+# TYPE repro_antientropy_keys_healed_total counter
+repro_antientropy_keys_healed_total{target="shard-0/replica-0"} 3
+# HELP repro_antientropy_bytes_total Anti-entropy bytes since loop start.
+# TYPE repro_antientropy_bytes_total counter
+repro_antientropy_bytes_total{target="shard-0/replica-0"} 4096
+# HELP repro_antientropy_skipped_unreachable_total Anti-entropy skipped_unreachable since loop start.
+# TYPE repro_antientropy_skipped_unreachable_total counter
+repro_antientropy_skipped_unreachable_total{target="shard-0/replica-0"} 1
+# HELP repro_antientropy_digest_skips_total Anti-entropy digest_skips since loop start.
+# TYPE repro_antientropy_digest_skips_total counter
+repro_antientropy_digest_skips_total{target="shard-0/replica-0"} 4
+# HELP repro_fabric_up Whether the worker fabric answered the last stats poll.
+# TYPE repro_fabric_up gauge
+repro_fabric_up 1
+# HELP repro_fabric_workers_connected Fabric scheduler workers_connected.
+# TYPE repro_fabric_workers_connected gauge
+repro_fabric_workers_connected 2
+# HELP repro_fabric_parts_in_flight Fabric scheduler parts_in_flight.
+# TYPE repro_fabric_parts_in_flight gauge
+repro_fabric_parts_in_flight 1
+# HELP repro_fabric_parts_queued Fabric scheduler parts_queued.
+# TYPE repro_fabric_parts_queued gauge
+repro_fabric_parts_queued 3
+# HELP repro_fabric_n_dispatched_total Fabric scheduler n_dispatched since fabric start.
+# TYPE repro_fabric_n_dispatched_total counter
+repro_fabric_n_dispatched_total 12
+# HELP repro_fabric_n_steals_total Fabric scheduler n_steals since fabric start.
+# TYPE repro_fabric_n_steals_total counter
+repro_fabric_n_steals_total 2
+# HELP repro_fabric_n_reassigned_total Fabric scheduler n_reassigned since fabric start.
+# TYPE repro_fabric_n_reassigned_total counter
+repro_fabric_n_reassigned_total 1
+# HELP repro_fabric_n_shed_total Fabric scheduler n_shed since fabric start.
+# TYPE repro_fabric_n_shed_total counter
+repro_fabric_n_shed_total 4
+# HELP repro_fabric_n_local_fallback_total Fabric scheduler n_local_fallback since fabric start.
+# TYPE repro_fabric_n_local_fallback_total counter
+repro_fabric_n_local_fallback_total 0
+# HELP repro_fabric_worker_queued Per-worker scheduler queued.
+# TYPE repro_fabric_worker_queued gauge
+repro_fabric_worker_queued{worker="worker1"} 2
+# HELP repro_fabric_worker_in_flight Per-worker scheduler in_flight.
+# TYPE repro_fabric_worker_in_flight gauge
+repro_fabric_worker_in_flight{worker="worker1"} 1
+# HELP repro_fabric_worker_parts_total Per-worker scheduler parts.
+# TYPE repro_fabric_worker_parts_total counter
+repro_fabric_worker_parts_total{worker="worker1"} 7
+# HELP repro_fabric_worker_steals_won_total Per-worker scheduler steals_won.
+# TYPE repro_fabric_worker_steals_won_total counter
+repro_fabric_worker_steals_won_total{worker="worker1"} 2
+# HELP repro_fabric_worker_steals_lost_total Per-worker scheduler steals_lost.
+# TYPE repro_fabric_worker_steals_lost_total counter
+repro_fabric_worker_steals_lost_total{worker="worker1"} 0
+# HELP repro_dashboard_polls_total Poll passes completed.
+# TYPE repro_dashboard_polls_total counter
+repro_dashboard_polls_total 7
+"""
+
+
+def test_render_metrics_pins_the_exposition_text():
+    assert render_metrics(METRICS_SNAPSHOT) == METRICS_TEXT

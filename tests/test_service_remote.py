@@ -634,6 +634,12 @@ def test_routed_sharded_store_batches_and_routes_disjointly(tmp_path, config):
         assert warm.n_compiled == 0
         assert warm.coverage_rate == 1.0
         assert warm.store_stats["puts"] == 0
+        # no route replicates, so no quorum counters: the merged stats
+        # carry exactly the union of the shards' (RemoteStore) names
+        assert set(warm.store_stats) == {
+            "hits", "misses", "puts", "evictions", "hit_rate",
+            "degraded", "retry_exhausted",
+        }
     finally:
         for server in servers:
             server.stop()

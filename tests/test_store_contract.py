@@ -1,6 +1,7 @@
 """One call sequence, four store backends: the derived StoreBackend methods
 (``get_key``/``peek_key``/``put``/``in``/``len``/``revalidate``) behave the
-same over a single directory, local shards, the wire, and a replica set."""
+same over a single directory, local shards, the wire, and a replica set,
+and every backend's ``stats`` is a read of its perf recorder."""
 
 import json
 import os
@@ -20,6 +21,16 @@ from repro.service import (
     open_store,
 )
 from repro.service.store import StoreBackend
+
+# The names each backend's ``stats.to_dict()`` reports (5 / 5 / 7 / 10).
+_LOCAL_KEYS = {"hits", "misses", "puts", "evictions", "hit_rate"}
+_REMOTE_KEYS = _LOCAL_KEYS | {"degraded", "retry_exhausted"}
+STATS_KEYS = {
+    "pulse": _LOCAL_KEYS,
+    "sharded": _LOCAL_KEYS,
+    "remote": _REMOTE_KEYS,
+    "replicated": _REMOTE_KEYS | {"failovers", "acked", "quorum_failures"},
+}
 
 
 def _group(angle: float) -> GateGroup:
@@ -101,6 +112,22 @@ def _exercise(store: StoreBackend) -> dict:
     return seen
 
 
+def _recorded(store: StoreBackend) -> dict:
+    """The counters ``store.stats`` must report, straight from the
+    recorder: a shard sum, or the store's own prefix — plus, on a replica
+    set, the per-replica failovers and each replica's wire counters."""
+    counters = store.perf.counters
+    if isinstance(store, ShardedStore):
+        parts = [_recorded(shard) for shard in store.shards]
+        return {k: sum(p[k] for p in parts) for k in parts[0]}
+    view = {k: counters.get(store.stat_prefix + k, 0) for k in store.COUNTERS}
+    for i, replica in enumerate(getattr(store, "replicas", [])):
+        view["failovers"] += counters.get(f"{store.stat_prefix}failover.r{i}", 0)
+        for k in ("degraded", "retry_exhausted"):
+            view[k] += counters.get(replica.stat_prefix + k, 0)
+    return view
+
+
 def _entry_files(root: str) -> dict:
     """{filename: bytes} of every entry file anywhere under ``root``."""
     out = {}
@@ -115,7 +142,8 @@ def _entry_files(root: str) -> dict:
 
 @pytest.fixture
 def backend(request, tmp_path):
-    """(store, data directories each holding the full entry set)."""
+    """(kind, store, data directories each holding the full entry set,
+    the store servers behind it)."""
     kind = request.param
     servers = []
 
@@ -133,7 +161,7 @@ def backend(request, tmp_path):
     else:
         spec = f"remote://{serve('ra')}|{serve('rb')}?w=majority"
         made = open_store(spec), [tmp_path / "ra", tmp_path / "rb"]
-    yield made
+    yield (kind, *made, servers)
     for server in servers:
         server.stop()
 
@@ -142,7 +170,7 @@ def backend(request, tmp_path):
     "backend", ["pulse", "sharded", "remote", "replicated"], indirect=True
 )
 def test_every_backend_honors_the_same_contract(backend, tmp_path):
-    store, data_dirs = backend
+    kind, store, data_dirs, servers = backend
     seen = _exercise(store)
     assert seen["get_key"] == [True, False]
     assert seen["peek_key"] == [True, False]
@@ -163,3 +191,19 @@ def test_every_backend_honors_the_same_contract(backend, tmp_path):
     assert len(expected) == len(ANGLES)
     for data_dir in data_dirs:
         assert _entry_files(str(data_dir)) == expected
+
+    # stats is a view of the recorder: the same key set as ever, and every
+    # value is the recorder's counter (hit_rate derives from two of them)
+    stats = store.stats.to_dict()
+    assert set(stats) == STATS_KEYS[kind]
+    assert {k: v for k, v in stats.items() if k != "hit_rate"} == _recorded(store)
+    if kind == "replicated":
+        servers[0].stop()  # the next read fails over from replica 0
+        assert store.get_key(_group(0.1).key()) is not None
+        rows = store.stats_by_replica()
+        for i, row in enumerate(rows):
+            failovers = store.perf.counters.get(f"store.remote.failover.r{i}", 0)
+            assert row["failovers"] == failovers
+        assert [row["failovers"] for row in rows] == [1, 0]
+        assert store.stats.failovers == 1
+        assert store.stats.to_dict()["retry_exhausted"] == 1
