@@ -12,13 +12,17 @@ the initial condition", Sec I).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cache import PulseLibrary
-from repro.core.engines import CompileRecord, compile_with_engine
+from repro.core.engines import (
+    CompileRecord,
+    batched_buckets,
+    compile_with_engine,
+)
 from repro.core.similarity import batched_distance_matrix, get_similarity
 from repro.core.simgraph import (
     IDENTITY_VERTEX,
@@ -161,15 +165,21 @@ class AcceleratedCompiler:
             )
         records: List[Optional[CompileRecord]] = [None] * len(groups)
         total_iterations = 0
-        if getattr(
-            getattr(self.engine, "run", None), "batched_grape", False
-        ) and hasattr(self.engine, "compile_group_batch"):
-            # Batched lane: identity-rooted groups have no intra-batch
-            # dependency (chain-warm children do), so same-class roots can
-            # share one kernel stream. Children below still warm-start from
-            # these freshly batched root pulses, exactly as in the serial
-            # order.
-            self._compile_roots_batched(groups, sequence, library, records)
+        # Batched lane: identity-rooted groups have no intra-batch
+        # dependency (chain-warm children do), so same-class roots can
+        # share one kernel stream. Children below still warm-start from
+        # these freshly batched root pulses, exactly as in the serial order.
+        buckets = batched_buckets(
+            self.engine,
+            groups,
+            sequence.order,
+            {
+                i for i in sequence.order
+                if sequence.parent[i] != IDENTITY_VERTEX
+            },
+        )
+        if buckets:
+            self._compile_buckets(buckets, groups, library, records)
         for index in sequence.order:
             if records[index] is not None:  # solved in the batched lane
                 total_iterations += records[index].iterations
@@ -206,40 +216,24 @@ class AcceleratedCompiler:
         )
 
     # ------------------------------------------------------------------ impl
-    def _compile_roots_batched(
+    def _compile_buckets(
         self,
+        buckets: Sequence[List[int]],
         groups: Sequence[GateGroup],
-        sequence: CompileSequence,
         library: Optional[PulseLibrary],
         records: List[Optional[CompileRecord]],
     ) -> None:
-        """Solve same-class identity-rooted groups in batched streams.
+        """Solve each bucket in one batched stream; fill ``records``.
 
-        Fills ``records`` for every group it takes; the serial loop skips
-        those and compiles the rest (chain-warm children, virtual
-        diagonals, singleton classes) exactly as before. Stage time lands
+        The serial loop skips the groups filled here. Stage time lands
         under ``dynamic.solve.batched`` and stream occupancy under the
         ``grape.batched.*`` counters, so ``CompiledProgram.perf`` /
         ``repro perf`` show batch occupancy for one-shot compiles too.
         """
         from repro.qoc.grape_batched import BatchStats
 
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for index in sequence.order:
-            if sequence.parent[index] != IDENTITY_VERTEX:
-                continue
-            solve_class = self.engine.solve_class(groups[index])
-            if solve_class is None:
-                continue
-            buckets.setdefault(solve_class, []).append(index)
-        batchable = [
-            indices for _, indices in sorted(buckets.items())
-            if len(indices) >= 2
-        ]
-        if not batchable:
-            return
         stats = BatchStats()
-        for indices in batchable:
+        for indices in buckets:
             warm_pulses: List[Optional[Pulse]] = [None] * len(indices)
             if library is not None:
                 with self.perf.stage("dynamic.library_seed"):
@@ -259,9 +253,8 @@ class AcceleratedCompiler:
                 )
             for index, record in zip(indices, bucket_records):
                 records[index] = record
-        self.perf.count("grape.batched.batch_width", stats.width_sum)
-        self.perf.count("grape.batched.rounds", stats.rounds)
-        self.perf.count("grape.batched.narrowings", stats.narrowings)
+        for name, value in stats.counters().items():
+            self.perf.count(name, value)
 
     def _compile(self, group, warm_pulse, warm_source, tag) -> CompileRecord:
         return compile_with_engine(

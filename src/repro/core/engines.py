@@ -4,8 +4,8 @@
 what the iteration-count experiments (Figs 8, 13, 15) measure. ``ModelEngine``
 predicts the same outputs from the calibrated latency estimator and an
 iteration-cost model, making program-scale sweeps (Fig 12's 6 policies x 6
-programs) run in seconds. Both can be calibrated against each other; the
-benches record which engine produced which number.
+programs) run in seconds. The benches record which engine produced which
+number.
 
 Iteration-cost model (ModelEngine): a warm-started solve needs
 
@@ -21,8 +21,8 @@ Fig 8 and the inverse function a pessimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +32,7 @@ from repro.qoc.binary_search import binary_search_latency
 from repro.qoc.estimator import LatencyEstimator
 from repro.qoc.hamiltonian import ControlModel
 from repro.qoc.pulse import Pulse
-from repro.latency.gate_latency import (
-    GateLatencyTable,
-    build_gate_latency_table,
-    calibrated_gate_table,
-)
+from repro.latency.gate_latency import GateLatencyTable, calibrated_gate_table
 from repro.utils.config import PhysicsConfig, RunConfig
 from repro.utils.rng import derive_rng
 
@@ -75,6 +71,55 @@ def compile_with_engine(
     return engine.compile_group(group, warm_pulse=warm_pulse, seed_tag=seed_tag)
 
 
+def batched_buckets(
+    engine,
+    groups: Sequence[GateGroup],
+    order: Iterable[int],
+    chained: Container[int],
+) -> List[List[int]]:
+    """Indices of ``groups`` to solve through shared batched streams.
+
+    The one bucketing rule of the batched lane, shared by the one-shot
+    :class:`~repro.core.dynamic.AcceleratedCompiler` and the service's
+    :func:`~repro.service.executor.run_part`. Empty unless the engine
+    opted into ``RunConfig.batched_grape`` and has ``compile_group_batch``.
+    Otherwise the indices in ``order`` are bucketed by
+    :meth:`GrapeEngine.solve_class`, skipping ``chained`` indices (a chain
+    child needs its parent's freshly compiled pulse), virtual diagonals
+    (no solve class) and singleton buckets (below two solves a stream is
+    pure overhead). Buckets come back in sorted solve-class order, each in
+    ``order``; everything left out stays on the caller's serial loop.
+    """
+    run = getattr(engine, "run", None)
+    if not (
+        getattr(run, "batched_grape", False)
+        and hasattr(engine, "compile_group_batch")
+    ):
+        return []
+    buckets: Dict[Tuple[int, int], List[int]] = {}
+    for index in order:
+        if index in chained:
+            continue
+        solve_class = engine.solve_class(groups[index])
+        if solve_class is not None:
+            buckets.setdefault(solve_class, []).append(index)
+    return [
+        indices for _, indices in sorted(buckets.items()) if len(indices) >= 2
+    ]
+
+
+def _search_record(search, warm_pulse: Optional[Pulse]) -> CompileRecord:
+    """A latency search's outcome as the group's :class:`CompileRecord`."""
+    return CompileRecord(
+        latency=search.best.duration,
+        iterations=search.total_iterations,
+        converged=search.best.converged,
+        pulse=search.best.pulse,
+        probes=len(search.probes),
+        warm_started=warm_pulse is not None,
+    )
+
+
 class GrapeEngine:
     """Real QOC compilation: GRAPE with latency binary search."""
 
@@ -103,37 +148,30 @@ class GrapeEngine:
             self._gate_table = calibrated_gate_table(self.physics)
         return self._gate_table
 
+    def _rng(self, seed_tag: str) -> np.random.Generator:
+        return derive_rng(f"grape-engine:{seed_tag}", self.run.seed)
+
     def compile_group(
         self,
         group: GateGroup,
         warm_pulse: Optional[Pulse] = None,
-        warm_weight: Optional[float] = None,
         seed_tag: str = "",
     ) -> CompileRecord:
-        if LatencyEstimator.is_virtual_diagonal(group.matrix()):
+        solve_class = self.solve_class(group)
+        if solve_class is None:
             # Pure frame change: implemented virtually, nothing to optimize
             # (same convention as u1 = 0 ns in the gate table).
             return CompileRecord(latency=0.0, iterations=0, converged=True)
-        model = self.model_for(group.n_qubits)
-        estimate = self.estimator.group_latency(group)
-        hi_steps = max(int(math.ceil(estimate / self.physics.dt)) * 2, 4)
-        rng = derive_rng(f"grape-engine:{seed_tag}", self.run.seed)
+        _, hi_steps = solve_class
         search = binary_search_latency(
             group.matrix(),
-            model,
+            self.model_for(group.n_qubits),
             self.run,
             hi_steps=hi_steps,
             initial_pulse=warm_pulse,
-            rng=rng,
+            rng=self._rng(seed_tag),
         )
-        return CompileRecord(
-            latency=search.best.duration,
-            iterations=search.total_iterations,
-            converged=search.best.converged,
-            pulse=search.best.pulse,
-            probes=len(search.probes),
-            warm_started=warm_pulse is not None,
-        )
+        return _search_record(search, warm_pulse)
 
     def solve_class(self, group: GateGroup) -> Optional[Tuple[int, int]]:
         """Batching class ``(dim, hi_steps)`` — groups sharing one can be
@@ -180,29 +218,17 @@ class GrapeEngine:
                 f"got {sorted(classes, key=str)}"
             )
         (_, hi_steps), = classes
-        model = self.model_for(groups[0].n_qubits)
-        rngs = [
-            derive_rng(f"grape-engine:{tag}", self.run.seed)
-            for tag in seed_tags
-        ]
         searches = binary_search_latency_batched(
             [group.matrix() for group in groups],
-            model,
+            self.model_for(groups[0].n_qubits),
             self.run,
             hi_steps=hi_steps,
             initial_pulses=list(warm_pulses),
-            rngs=rngs,
+            rngs=[self._rng(tag) for tag in seed_tags],
             stats=stats,
         )
         return [
-            CompileRecord(
-                latency=search.best.duration,
-                iterations=search.total_iterations,
-                converged=search.best.converged,
-                pulse=search.best.pulse,
-                probes=len(search.probes),
-                warm_started=warm_pulse is not None,
-            )
+            _search_record(search, warm_pulse)
             for search, warm_pulse in zip(searches, warm_pulses)
         ]
 
@@ -286,7 +312,6 @@ class ModelEngine:
         self,
         group: GateGroup,
         warm_pulse: Optional[Pulse] = None,
-        warm_weight: Optional[float] = None,
         seed_tag: str = "",
         warm_source: Optional[GateGroup] = None,
     ) -> CompileRecord:
@@ -300,9 +325,6 @@ class ModelEngine:
             )
             iterations = base * self.iterations.warm_ratio(true_distance)
             warm = True
-        elif warm_weight is not None:
-            iterations = base * self.iterations.warm_ratio(warm_weight)
-            warm = True
         else:
             iterations = base
             warm = False
@@ -314,16 +336,3 @@ class ModelEngine:
             probes=1,
             warm_started=warm,
         )
-
-    def calibrate_iterations(
-        self, pairs: Tuple[Tuple[float, float], ...]
-    ) -> "ModelEngine":
-        """Fit (r0, r1) from (true_distance, observed warm/cold ratio) pairs."""
-        if len(pairs) >= 2:
-            x = np.array([p[0] for p in pairs])
-            y = np.array([p[1] for p in pairs])
-            a = np.column_stack([np.ones_like(x), x])
-            coeffs, *_ = np.linalg.lstsq(a, y, rcond=None)
-            self.iterations.r0 = float(coeffs[0])
-            self.iterations.r1 = float(coeffs[1])
-        return self

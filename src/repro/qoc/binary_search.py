@@ -54,38 +54,78 @@ def binary_search_latency(
     ``initial_pulse`` warm-starts *every* probe (resampled to the probe's
     step count) — this is how MST-accelerated dynamic compilation plugs in.
     """
-    probes: List[GrapeResult] = []
-
-    def solve(n_steps: int) -> GrapeResult:
-        result = run_grape(
-            target, model, n_steps, config, initial_pulse=initial_pulse, rng=rng
+    state = _SearchState(
+        hi_steps, lo_steps, max_doublings, config.binary_search_max_probes
+    )
+    while not state.done:
+        state.absorb(
+            run_grape(
+                target, model, state.next_steps(), config,
+                initial_pulse=initial_pulse, rng=rng,
+            )
         )
-        probes.append(result)
-        return result
+    return state.result()
 
-    hi = max(hi_steps, lo_steps, 1)
-    best: Optional[GrapeResult] = None
-    for _ in range(max_doublings + 1):
-        result = solve(hi)
-        if result.converged:
-            best = result
-            break
-        hi *= 2
-    if best is None:
-        # Give the caller the least-bad pulse; flagged as not converged.
-        best = min(probes, key=lambda p: p.infidelity)
-        return BinarySearchResult(best=best, probes=probes)
 
-    lo = lo_steps
-    hi = best.n_steps
-    n_probes = len(probes)
-    while lo < hi and n_probes < config.binary_search_max_probes:
-        mid = (lo + hi) // 2
-        result = solve(mid)
-        n_probes += 1
-        if result.converged:
-            best = result
-            hi = mid
+class _SearchState:
+    """One latency binary search, stepped probe by probe.
+
+    Doubling bracket from ``hi_steps`` until a probe converges (giving up
+    with the least-bad probe after ``max_doublings`` doublings), then
+    bisection over ``[lo_steps, best]`` bounded by the probe budget. As a
+    state machine, one search runs as a loop (:func:`binary_search_latency`)
+    and K searches advance in lockstep rounds
+    (:func:`~repro.qoc.grape_batched.binary_search_latency_batched`).
+    """
+
+    def __init__(
+        self,
+        hi_steps: int,
+        lo_steps: int,
+        max_doublings: int,
+        max_probes: int,
+    ) -> None:
+        self.probes: List[GrapeResult] = []
+        self.best: Optional[GrapeResult] = None
+        self.lo = lo_steps
+        self.hi = max(hi_steps, lo_steps, 1)
+        self.doublings_left = max_doublings
+        self.max_probes = max_probes
+        self.bisecting = False
+        self.done = False
+
+    def next_steps(self) -> int:
+        if self.bisecting:
+            return (self.lo + self.hi) // 2
+        return self.hi
+
+    def absorb(self, result: GrapeResult) -> None:
+        self.probes.append(result)
+        if not self.bisecting:
+            if result.converged:
+                self.best = result
+                self.hi = result.n_steps
+                self.bisecting = True
+                self._check_bisect_done()
+            elif self.doublings_left == 0:
+                # Give the caller the least-bad pulse; flagged as not converged.
+                self.best = min(self.probes, key=lambda p: p.infidelity)
+                self.done = True
+            else:
+                self.doublings_left -= 1
+                self.hi *= 2
         else:
-            lo = mid + 1
-    return BinarySearchResult(best=best, probes=probes)
+            mid = (self.lo + self.hi) // 2  # the probe that just ran
+            if result.converged:
+                self.best = result
+                self.hi = mid
+            else:
+                self.lo = mid + 1
+            self._check_bisect_done()
+
+    def _check_bisect_done(self) -> None:
+        if not (self.lo < self.hi and len(self.probes) < self.max_probes):
+            self.done = True
+
+    def result(self) -> BinarySearchResult:
+        return BinarySearchResult(best=self.best, probes=self.probes)

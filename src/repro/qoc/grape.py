@@ -11,8 +11,8 @@ optimizer's own tolerances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -86,61 +86,86 @@ def run_grape(
     similar group is resampled to ``n_steps`` and used as the starting point;
     otherwise a small random cold start is drawn from ``rng``.
     """
-    if target.shape != (model.dim, model.dim):
+    _check_shape(target.shape, model, n_steps)
+    x0 = _start_point(model, n_steps, config, initial_pulse, rng)
+    dt = model.physics.dt
+    return _solve(
+        lambda amps: infidelity_and_gradient(amps, model, target, dt),
+        x0, model, n_steps, config, time.monotonic(),
+    )
+
+
+def _check_shape(target_shape, model: ControlModel, n_steps: int) -> None:
+    if target_shape != (model.dim, model.dim):
         raise ValueError(
-            f"target shape {target.shape} does not match model dim {model.dim}"
+            f"target shape {target_shape} does not match model dim {model.dim}"
         )
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    dt = model.physics.dt
-    n_controls = model.n_controls
-    bounds_vec = np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
 
+
+def _bounds_vec(model: ControlModel, n_steps: int) -> np.ndarray:
+    return np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
+
+
+def _start_point(
+    model: ControlModel,
+    n_steps: int,
+    config: RunConfig,
+    initial_pulse: Optional[Pulse],
+    rng: Optional[np.random.Generator],
+) -> np.ndarray:
+    """Flat optimizer start: the resampled, clipped warm pulse, else a
+    small cold-start draw from ``rng`` (default: the config seed)."""
+    bounds_vec = _bounds_vec(model, n_steps)
     if initial_pulse is not None:
         x0 = initial_pulse.resampled(n_steps).amplitudes.ravel()
-        x0 = np.clip(x0, -bounds_vec, bounds_vec)
-    else:
-        rng = rng or derive_rng("grape-cold-start", config.seed)
-        x0 = (
-            config.cold_start_noise
-            * bounds_vec
-            * rng.uniform(-1.0, 1.0, size=n_steps * n_controls)
-        )
-
-    tracker = _Tracker(
-        config.target_infidelity, time.monotonic() + config.time_budget_s
+        return np.clip(x0, -bounds_vec, bounds_vec)
+    rng = rng or derive_rng("grape-cold-start", config.seed)
+    return (
+        config.cold_start_noise
+        * bounds_vec
+        * rng.uniform(-1.0, 1.0, size=n_steps * model.n_controls)
     )
 
+
+def _solve(
+    evaluate: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    model: ControlModel,
+    n_steps: int,
+    config: RunConfig,
+    start: float,
+) -> GrapeResult:
+    """Optimize from ``x0`` with ``evaluate(amps) -> (cost, grad)`` as the
+    kernel; stop exactly on the target or ``start + time_budget_s``."""
+    n_controls = model.n_controls
+    tracker = _Tracker(config.target_infidelity, start + config.time_budget_s)
+
     def objective(x: np.ndarray):
-        amps = x.reshape(n_steps, n_controls)
-        cost, grad = infidelity_and_gradient(amps, model, target, dt)
+        cost, grad = evaluate(x.reshape(n_steps, n_controls))
         tracker.record(cost, x)
         return cost, grad.ravel()
 
-    start = time.monotonic()
-    message = ""
+    if config.optimizer == "BFGS":
+        # Unbounded BFGS as in the paper; amplitudes are clipped after.
+        bounds = None
+        options = {"maxiter": config.max_iterations, "gtol": 1e-12}
+    else:
+        bounds_vec = _bounds_vec(model, n_steps)
+        bounds = list(zip(-bounds_vec, bounds_vec))
+        options = {"maxiter": config.max_iterations, "ftol": 1e-16,
+                   "gtol": 1e-12}
     try:
-        if config.optimizer == "BFGS":
-            # Unbounded BFGS as in the paper; amplitudes are clipped after.
-            result = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                method="BFGS",
-                callback=tracker.on_iteration,
-                options={"maxiter": config.max_iterations, "gtol": 1e-12},
-            )
-        else:
-            result = optimize.minimize(
-                objective,
-                x0,
-                jac=True,
-                method=config.optimizer,
-                bounds=list(zip(-bounds_vec, bounds_vec)),
-                callback=tracker.on_iteration,
-                options={"maxiter": config.max_iterations, "ftol": 1e-16,
-                         "gtol": 1e-12},
-            )
+        result = optimize.minimize(
+            objective,
+            x0,
+            jac=True,
+            method=config.optimizer,
+            bounds=bounds,
+            callback=tracker.on_iteration,
+            options=options,
+        )
         message = str(result.message)
     except _Budget as stop:
         message = str(stop)
@@ -154,7 +179,7 @@ def run_grape(
     )
     pulse = Pulse(
         amplitudes=amps,
-        dt=dt,
+        dt=model.physics.dt,
         control_labels=model.labels,
         n_qubits=model.n_qubits,
         infidelity=tracker.best_cost,
@@ -166,7 +191,7 @@ def run_grape(
         function_evals=tracker.n_evals,
         pulse=pulse,
         n_steps=n_steps,
-        duration=n_steps * dt,
+        duration=n_steps * model.physics.dt,
         wall_time=wall,
         message=message,
     )

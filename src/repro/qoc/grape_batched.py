@@ -1,31 +1,26 @@
-"""Batched GRAPE driver: K independent L-BFGS-B solves, one kernel stream.
+"""Batched GRAPE: K serial solves sharing one kernel stream.
 
-The serial :func:`~repro.qoc.grape.run_grape` is the semantic oracle; this
-module changes *where the kernels run*, never what a solve sees. Each of
-the K solves keeps its own scipy optimizer, its own warm start, its own
-RNG, and its own target/budget tracker — but their objective evaluations
-rendezvous on a shared :class:`_KernelStream` that stacks every active
-solve's pending point into one
+This module is a thin layer over the serial code. It changes *where the
+kernels run*, never what a solve sees: each of the K slots runs the serial
+solve from :mod:`repro.qoc.grape` (start-point draw from its own warm pulse
+or RNG, the scipy optimizer call, exact early exit on the 1e-4 target or
+the wall budget, result assembly), but its kernel is
+:meth:`_KernelStream.evaluate`, which stacks every active slot's pending
+point into one
 :func:`~repro.qoc.fidelity_batched.infidelity_and_gradient_batched` call.
 Rows of the batched kernel never interact, so a solve's trajectory is a
-function of its own inputs only.
+function of its own inputs only. A finished solve *leaves the stream* (the
+batch narrows), so no solve runs extra iterations because its batch-mates
+are unconverged, and none is cut short because a batch-mate finished.
 
-Early exit is *exact*, matching ``run_grape``: a solve raises the same
-``_Budget`` signal the moment its own evaluation hits the 1e-4 target or
-its wall budget — the optimizer never gets to take another step — and the
-finished solve *leaves the stream* (the batch narrows) so batch-mates
-continue at width K-1 rather than padding dead rows. No solve ever runs
-extra iterations because its batch-mates are unconverged, and no solve is
-cut short because a batch-mate finished.
-
-The batched latency search (:func:`binary_search_latency_batched`) drives
-K binary searches in lockstep rounds: every unfinished search picks its
-next probe by the serial doubling/bisection rule, probes wanting the same
-slice count form one ``run_grape_batch`` call, and searches that finish
-simply stop contributing probes. Per-search probe sequences equal the
-serial ones whenever per-probe convergence outcomes agree (they agree in
-practice; the 1e-9 kernel tolerance makes bit-level divergence possible,
-which is why the serial path remains the bit-identity oracle).
+:func:`binary_search_latency_batched` drives K copies of the serial
+search state (:class:`~repro.qoc.binary_search._SearchState`) in lockstep
+rounds: probes wanting the same slice count form one
+:func:`run_grape_batch` call, and finished searches stop contributing
+probes. Per-search probe sequences equal the serial ones whenever
+per-probe convergence outcomes agree (they agree in practice; the 1e-9
+kernel tolerance makes bit-level divergence possible, which is why the
+serial path remains the bit-identity oracle).
 """
 
 from __future__ import annotations
@@ -37,15 +32,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from repro.qoc.binary_search import BinarySearchResult
+from repro.qoc.binary_search import BinarySearchResult, _SearchState
 from repro.qoc.fidelity_batched import infidelity_and_gradient_batched
-from repro.qoc.grape import GrapeResult, _Budget, _Tracker
+from repro.qoc.grape import GrapeResult, _check_shape, _solve, _start_point
 from repro.qoc.hamiltonian import ControlModel
 from repro.qoc.pulse import Pulse
 from repro.utils.config import RunConfig
-from repro.utils.rng import derive_rng
 
 
 @dataclass
@@ -66,6 +59,15 @@ class BatchStats:
         self.rounds += 1
         self.width_sum += width
         self.widths.append(width)
+
+    def counters(self) -> Dict[str, int]:
+        """The ``grape.batched.*`` occupancy counters (``batch_width`` is
+        the sum of per-round widths)."""
+        return {
+            "grape.batched.batch_width": self.width_sum,
+            "grape.batched.rounds": self.rounds,
+            "grape.batched.narrowings": self.narrowings,
+        }
 
 
 class _KernelStream:
@@ -162,24 +164,16 @@ def run_grape_batch(
 ) -> List[GrapeResult]:
     """Solve K same-dimension, same-slice-count targets in one stream.
 
-    Per-solve semantics match :func:`~repro.qoc.grape.run_grape` exactly:
-    the same warm-start resampling/clipping, the same cold-start draw from
-    the solve's own ``rngs[k]``, the same optimizer options, and the same
-    exact early termination on the 1e-4 target or the per-solve wall
-    budget (measured from batch start). Only the kernel launches are
-    shared; result k is independent of its batch-mates.
+    Each slot runs the serial solve (:func:`~repro.qoc.grape.run_grape`'s
+    start-point draw from its own ``rngs[k]``, optimizer call and result
+    assembly) with the shared stream as its kernel; the wall budget is
+    measured from batch start. Result k is independent of its batch-mates.
     """
     n_solves = len(targets)
     if n_solves == 0:
         return []
     target_stack = np.stack([np.asarray(t) for t in targets])
-    if target_stack.shape[1:] != (model.dim, model.dim):
-        raise ValueError(
-            f"target shape {target_stack.shape[1:]} does not match model "
-            f"dim {model.dim}"
-        )
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    _check_shape(target_stack.shape[1:], model, n_steps)
     if initial_pulses is None:
         initial_pulses = [None] * n_solves
     if rngs is None:
@@ -187,72 +181,28 @@ def run_grape_batch(
     if len(initial_pulses) != n_solves or len(rngs) != n_solves:
         raise ValueError("initial_pulses/rngs must match len(targets)")
 
-    dt = model.physics.dt
-    n_controls = model.n_controls
-    bounds_vec = np.repeat(model.bounds()[None, :], n_steps, axis=0).ravel()
-
-    x0s: List[np.ndarray] = []
-    for initial_pulse, rng in zip(initial_pulses, rngs):
-        if initial_pulse is not None:
-            x0 = initial_pulse.resampled(n_steps).amplitudes.ravel()
-            x0 = np.clip(x0, -bounds_vec, bounds_vec)
-        else:
-            rng = rng or derive_rng("grape-cold-start", config.seed)
-            x0 = (
-                config.cold_start_noise
-                * bounds_vec
-                * rng.uniform(-1.0, 1.0, size=n_steps * n_controls)
-            )
-        x0s.append(x0)
-
-    start = time.monotonic()
-    deadline = start + config.time_budget_s
-    trackers = [
-        _Tracker(config.target_infidelity, deadline) for _ in range(n_solves)
+    # Drawn up front, in slot order: callers may share one generator.
+    x0s = [
+        _start_point(model, n_steps, config, initial_pulse, rng)
+        for initial_pulse, rng in zip(initial_pulses, rngs)
     ]
-    batch_stats = stats if stats is not None else BatchStats()
-    stream = _KernelStream(model, target_stack, dt, n_solves, batch_stats)
-    messages = [""] * n_solves
-    walls = [0.0] * n_solves
+    start = time.monotonic()
+    stream = _KernelStream(
+        model, target_stack, model.physics.dt, n_solves,
+        stats if stats is not None else BatchStats(),
+    )
+    results: List[Optional[GrapeResult]] = [None] * n_solves
     errors: List[Optional[BaseException]] = [None] * n_solves
 
     def solve_one(slot: int) -> None:
-        tracker = trackers[slot]
-
-        def objective(x: np.ndarray):
-            amps = x.reshape(n_steps, n_controls)
-            cost, grad = stream.evaluate(slot, amps)
-            tracker.record(cost, x)
-            return cost, grad.ravel()
-
         try:
-            if config.optimizer == "BFGS":
-                result = optimize.minimize(
-                    objective,
-                    x0s[slot],
-                    jac=True,
-                    method="BFGS",
-                    callback=tracker.on_iteration,
-                    options={"maxiter": config.max_iterations, "gtol": 1e-12},
-                )
-            else:
-                result = optimize.minimize(
-                    objective,
-                    x0s[slot],
-                    jac=True,
-                    method=config.optimizer,
-                    bounds=list(zip(-bounds_vec, bounds_vec)),
-                    callback=tracker.on_iteration,
-                    options={"maxiter": config.max_iterations, "ftol": 1e-16,
-                             "gtol": 1e-12},
-                )
-            messages[slot] = str(result.message)
-        except _Budget as stop:
-            messages[slot] = str(stop)
+            results[slot] = _solve(
+                lambda amps: stream.evaluate(slot, amps),
+                x0s[slot], model, n_steps, config, start,
+            )
         except BaseException as exc:  # surfaced after join; don't stall mates
             errors[slot] = exc
         finally:
-            walls[slot] = time.monotonic() - start
             stream.leave(slot)
 
     # solve_one never raises (errors are captured per slot), so waiting on
@@ -274,95 +224,7 @@ def run_grape_batch(
     for error in errors:
         if error is not None:
             raise error
-
-    results: List[GrapeResult] = []
-    for slot in range(n_solves):
-        tracker = trackers[slot]
-        best_x = tracker.best_x if tracker.best_x is not None else x0s[slot]
-        amps = np.clip(
-            best_x.reshape(n_steps, n_controls),
-            -model.bounds()[None, :],
-            model.bounds()[None, :],
-        )
-        pulse = Pulse(
-            amplitudes=amps,
-            dt=dt,
-            control_labels=model.labels,
-            n_qubits=model.n_qubits,
-            infidelity=tracker.best_cost,
-        )
-        results.append(
-            GrapeResult(
-                converged=tracker.best_cost <= config.target_infidelity,
-                infidelity=tracker.best_cost,
-                iterations=max(tracker.n_iterations, 1),
-                function_evals=tracker.n_evals,
-                pulse=pulse,
-                n_steps=n_steps,
-                duration=n_steps * dt,
-                wall_time=walls[slot],
-                message=messages[slot],
-            )
-        )
     return results
-
-
-class _SearchState:
-    """One latency binary search, stepped probe by probe.
-
-    Encodes exactly the serial :func:`~repro.qoc.binary_search.
-    binary_search_latency` control flow — doubling bracket, give-up on
-    exhausted doublings, then bisection bounded by the probe budget — as
-    a state machine so K searches can advance in lockstep rounds.
-    """
-
-    def __init__(
-        self,
-        hi_steps: int,
-        lo_steps: int,
-        max_doublings: int,
-        max_probes: int,
-    ) -> None:
-        self.probes: List[GrapeResult] = []
-        self.best: Optional[GrapeResult] = None
-        self.lo = lo_steps
-        self.hi = max(hi_steps, lo_steps, 1)
-        self.doublings_left = max_doublings
-        self.max_probes = max_probes
-        self.bisecting = False
-        self.done = False
-
-    def next_steps(self) -> int:
-        if self.bisecting:
-            return (self.lo + self.hi) // 2
-        return self.hi
-
-    def absorb(self, result: GrapeResult) -> None:
-        self.probes.append(result)
-        if not self.bisecting:
-            if result.converged:
-                self.best = result
-                self.hi = result.n_steps
-                self.bisecting = True
-                self._check_bisect_done()
-            elif self.doublings_left == 0:
-                self.best = min(self.probes, key=lambda p: p.infidelity)
-                self.done = True
-            else:
-                self.doublings_left -= 1
-                self.hi *= 2
-        else:
-            mid = (self.lo + self.hi) // 2  # the probe that just ran
-            if result.converged:
-                self.best = result
-                self.hi = mid
-            else:
-                self.lo = mid + 1
-            self._check_bisect_done()
-
-    def _check_bisect_done(self) -> None:
-        if not (self.lo < self.hi and len(self.probes) < self.max_probes):
-            self.done = True
 
 
 def binary_search_latency_batched(
@@ -432,7 +294,4 @@ def binary_search_latency_batched(
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-    return [
-        BinarySearchResult(best=state.best, probes=state.probes)
-        for state in states
-    ]
+    return [state.result() for state in states]

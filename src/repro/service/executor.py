@@ -15,11 +15,12 @@ never change what it produces.
 
 Orthogonally to *where* a part runs, ``RunConfig.batched_grape`` (the
 ``repro batch --engine grape-batched`` flag) changes *how* a worker runs
-it: :func:`run_part` buckets the part's store-seeded tasks by the
-engine's ``(dim, hi_steps)`` solve class and drives each bucket through
-one cross-pulse batched kernel stream instead of K sequential solves
-(see :func:`run_part` and :mod:`repro.qoc.grape_batched` for the exact
-rules). The serial loop remains the default and the bit-identity oracle.
+it: :func:`run_part` drives each bucket of the part's store-seeded tasks
+through one cross-pulse batched kernel stream instead of K sequential
+solves. The bucketing rule is :func:`repro.core.engines.batched_buckets`,
+shared with the one-shot compiler; the stream is
+:mod:`repro.qoc.grape_batched`. The serial loop remains the default and
+the bit-identity oracle.
 
 Warm-start modes
 ----------------
@@ -50,7 +51,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import PulseLibrary
 from repro.core.dynamic import best_library_seeds
-from repro.core.engines import CompileRecord, compile_with_engine
+from repro.core.engines import (
+    CompileRecord,
+    batched_buckets,
+    compile_with_engine,
+)
 from repro.grouping.group import GateGroup
 from repro.perf.instrument import PerfRecorder, recorder_or_null
 from repro.qoc.pulse import Pulse
@@ -89,14 +94,6 @@ def seed_tag_for(group: GateGroup) -> str:
     return f"svc:{key_digest(group.key())[:24]}"
 
 
-def _batched_engine(engine) -> bool:
-    """True when the engine opted into cross-pulse batched GRAPE."""
-    run = getattr(engine, "run", None)
-    return bool(getattr(run, "batched_grape", False)) and hasattr(
-        engine, "compile_group_batch"
-    )
-
-
 def run_part(
     engine,
     worker: int,
@@ -108,17 +105,17 @@ def run_part(
     Default path: tasks compile one by one, in order — this serial loop is
     the bit-identity oracle every other execution strategy is checked
     against. When the engine carries ``RunConfig.batched_grape`` (the
-    ``repro batch --engine grape-batched`` flag) and exposes
-    ``compile_group_batch``, the part's store-seeded tasks are bucketed by
-    the engine's ``(dim, hi_steps)`` solve class and each bucket of two or
-    more solves runs through one batched kernel stream
-    (:mod:`repro.qoc.grape_batched`) — warm seeds flow in per-solve exactly
+    ``repro batch --engine grape-batched`` flag), the buckets that
+    :func:`~repro.core.engines.batched_buckets` picks from the part — the
+    store-seeded tasks of each ``(dim, hi_steps)`` solve class with two or
+    more members; chain-mode tasks (``parent_local`` set) stay serial —
+    each run through one batched kernel stream
+    (:mod:`repro.qoc.grape_batched`). Warm seeds flow in per solve exactly
     as on the serial path, and per-solve target/budget semantics are
     unchanged (only 1e-9-level kernel reassociation differs, which is why
-    the batched path is opt-in rather than the default). Chain-mode tasks
-    (``parent_local`` set) stay serial: a child needs its parent's freshly
-    compiled pulse, a dependency batching cannot honour. Singleton buckets
-    stay serial too — below two solves the stream is pure overhead.
+    the batched path is opt-in rather than the default). Their wall time
+    is the ``solve.batched`` stage; ``grape.batched.*`` counters report
+    the buckets and the stream occupancy.
 
     ``submitted_at`` is a ``time.perf_counter`` reading taken when the part
     was handed to the pool; the gap to the part's first instruction is the
@@ -133,11 +130,31 @@ def run_part(
     stages: Dict[str, float] = {}
     counters: Dict[str, int] = {}
     records: List[Optional[CompileRecord]] = [None] * len(tasks)
-    if _batched_engine(engine):
-        batched_s = _run_batched_buckets(engine, tasks, records, counters)
-        if batched_s is not None:
-            stages["solve.batched"] = batched_s
-            solve_s += batched_s
+    buckets = batched_buckets(
+        engine,
+        [task.group for task in tasks],
+        range(len(tasks)),
+        {i for i, task in enumerate(tasks) if task.parent_local is not None},
+    )
+    if buckets:
+        from repro.qoc.grape_batched import BatchStats
+
+        stats = BatchStats()
+        t0 = time.perf_counter()
+        for indices in buckets:
+            bucket_records = engine.compile_group_batch(
+                [tasks[i].group for i in indices],
+                warm_pulses=[tasks[i].seed_pulse for i in indices],
+                seed_tags=[tasks[i].seed_tag for i in indices],
+                stats=stats,
+            )
+            for i, record in zip(indices, bucket_records):
+                records[i] = record
+        stages["solve.batched"] = time.perf_counter() - t0
+        solve_s += stages["solve.batched"]
+        counters["grape.batched.groups"] = sum(map(len, buckets))
+        counters["grape.batched.buckets"] = len(buckets)
+        counters.update(stats.counters())
     for index, task in enumerate(tasks):
         if records[index] is not None:  # solved by a batched bucket
             continue
@@ -169,58 +186,6 @@ def run_part(
         perf_counters=counters,
         queue_wait_s=queue_wait,
     )
-
-
-def _run_batched_buckets(
-    engine,
-    tasks: Sequence[GroupTask],
-    records: List[Optional[CompileRecord]],
-    counters: Dict[str, int],
-) -> Optional[float]:
-    """Solve the part's batchable buckets; fill ``records`` in place.
-
-    Returns the wall seconds spent in batched solves (None when nothing
-    was batchable), and accumulates the stream-occupancy counters
-    (``grape.batched.batch_width`` = sum of per-round widths,
-    ``grape.batched.rounds``, ``grape.batched.narrowings``) the batch
-    report surfaces per worker.
-    """
-    from repro.qoc.grape_batched import BatchStats
-
-    buckets: Dict[Tuple[int, int], List[int]] = {}
-    for index, task in enumerate(tasks):
-        if task.parent_local is not None:  # chain dependency: stays serial
-            continue
-        solve_class = engine.solve_class(task.group)
-        if solve_class is None:  # virtual diagonal: trivial, stays serial
-            continue
-        buckets.setdefault(solve_class, []).append(index)
-    batchable = [
-        indices for _, indices in sorted(buckets.items()) if len(indices) >= 2
-    ]
-    if not batchable:
-        return None
-    stats = BatchStats()
-    batched_s = 0.0
-    n_batched = 0
-    for indices in batchable:
-        t0 = time.perf_counter()
-        bucket_records = engine.compile_group_batch(
-            [tasks[i].group for i in indices],
-            warm_pulses=[tasks[i].seed_pulse for i in indices],
-            seed_tags=[tasks[i].seed_tag for i in indices],
-            stats=stats,
-        )
-        batched_s += time.perf_counter() - t0
-        for i, record in zip(indices, bucket_records):
-            records[i] = record
-        n_batched += len(indices)
-    counters["grape.batched.groups"] = n_batched
-    counters["grape.batched.buckets"] = len(batchable)
-    counters["grape.batched.batch_width"] = stats.width_sum
-    counters["grape.batched.rounds"] = stats.rounds
-    counters["grape.batched.narrowings"] = stats.narrowings
-    return batched_s
 
 
 def _run_part_payload(payload: Tuple) -> PartOutcome:

@@ -78,9 +78,14 @@ from repro.service.store import StoreVersionError
 from repro.utils.config import PipelineConfig
 
 
-def _make_engine(args):
+def _make_engine(parser: argparse.ArgumentParser, args):
     from repro.core.engines import GrapeEngine
 
+    if getattr(args, "class_parts", False) and args.engine not in (
+        "grape", "grape-batched"
+    ):
+        # The model engine has no solve classes for the planner to pack.
+        parser.error("--class-parts requires --engine grape or grape-batched")
     config = PipelineConfig(policy_name=args.policy)
     engine = None
     if args.engine in ("grape", "grape-batched"):
@@ -93,8 +98,10 @@ def _make_engine(args):
     return config, engine
 
 
-def _make_service(args, announce: IO[str] = sys.stdout) -> CompileService:
-    config, engine = _make_engine(args)
+def _make_service(
+    parser: argparse.ArgumentParser, args, announce: IO[str] = sys.stdout
+) -> CompileService:
+    config, engine = _make_engine(parser, args)
     store = open_store(
         args.store, shards=args.shards, max_entries=args.max_entries
     )
@@ -330,7 +337,7 @@ def cmd_serve(argv: Sequence[str]) -> int:
         print("repro serve: --port requires --async", file=sys.stderr)
         return 2
     try:
-        service = _make_service(args)
+        service = _make_service(parser, args)
     except StoreVersionError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
@@ -593,7 +600,7 @@ def cmd_store(argv: Sequence[str]) -> int:
                 print_audit_table(report)
             return exit_code_for(findings, args.fail_on)
         # revalidate
-        config, engine = _make_engine(args)
+        config, engine = _make_engine(p_reval, args)
         store = open_store(args.store)
         if engine is None:
             from repro.core.engines import ModelEngine
@@ -855,7 +862,7 @@ def cmd_batch(argv: Sequence[str]) -> int:
     try:
         programs = collect_programs(args.programs)
         # announce on stderr: with --json, stdout is one JSON document
-        service = _make_service(args, announce=sys.stderr)
+        service = _make_service(parser, args, announce=sys.stderr)
     except (ProtocolError, OSError, StoreVersionError) as exc:
         print(f"repro batch: {exc}", file=sys.stderr)
         return 2

@@ -123,13 +123,6 @@ def test_iteration_model_warm_ratio_clipped():
     assert model.warm_ratio(10.0) == model.ratio_max
 
 
-def test_model_engine_calibrate_iterations():
-    engine = ModelEngine()
-    engine.calibrate_iterations(((0.0, 0.4), (1.0, 1.2)))
-    assert engine.iterations.r0 == pytest.approx(0.4, abs=1e-6)
-    assert engine.iterations.r1 == pytest.approx(0.8, abs=1e-6)
-
-
 def test_grape_engine_virtual_group_free():
     engine = GrapeEngine(run=RunConfig(max_iterations=50, time_budget_s=10))
     g = GateGroup(gates=[Gate("u1", (0,), (0.5,))])

@@ -106,6 +106,9 @@ def test_binary_search_finds_minimal_latency(cfg, model1):
     # Theoretical minimum: pi/(2*drive_max) ~ 8.3 ns -> 5 slices of 2 ns.
     assert search.best.n_steps <= 8
     assert search.best.n_steps >= 4
+    # Pinned probe sequence: bisection over [1, 16] after a first-try hit.
+    assert [p.n_steps for p in search.probes] == [16, 8, 4, 6, 5]
+    assert search.best.n_steps == 5
 
 
 def test_binary_search_monotone_probes(cfg, model2):
@@ -117,12 +120,17 @@ def test_binary_search_monotone_probes(cfg, model2):
         if probe.converged:
             assert probe.n_steps >= search.best.n_steps
     assert search.total_iterations == sum(p.iterations for p in search.probes)
+    assert [p.n_steps for p in search.probes] == [48, 24, 12, 18, 15, 17, 16]
+    assert search.best.n_steps == 17
 
 
 def test_binary_search_doubles_when_hi_too_small(cfg, model1):
     target = Circuit(1).add("x", 0).unitary()
     search = binary_search_latency(target, model1, cfg, hi_steps=1)
     assert search.best.converged  # found after doubling
+    # Doubles 1 -> 8, then bisects [1, 8] (re-probing 4 is the serial rule).
+    assert [p.n_steps for p in search.probes] == [1, 2, 4, 8, 4, 6, 5]
+    assert search.best.n_steps == 5
 
 
 def test_binary_search_reports_failure_gracefully(model2):
@@ -134,3 +142,6 @@ def test_binary_search_reports_failure_gracefully(model2):
     )
     assert not search.best.converged
     assert search.probes
+    # Two doubling probes, then give up with the least-bad one.
+    assert [p.n_steps for p in search.probes] == [2, 4]
+    assert search.best.n_steps == 2

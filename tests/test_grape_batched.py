@@ -337,3 +337,55 @@ def test_qft16_store_round_trip_across_engines(tmp_path):
     assert warm.n_compiled == 0
     assert warm.coverage_rate == 1.0
     assert warm.store_stats["puts"] == 0
+
+
+def test_one_shot_batched_lane_and_shared_bucketing():
+    """The one-shot ``AcceleratedCompiler`` batched lane meets the target
+    within the documented 25% iteration tolerance of its serial run and
+    reports its stage and counters; the bucketing rule it shares with the
+    service executor keeps chain children, virtual diagonals and
+    singleton classes serial, and applies only to batched GRAPE engines."""
+    from repro.core.dynamic import AcceleratedCompiler
+    from repro.core.engines import GrapeEngine, ModelEngine, batched_buckets
+    from repro.perf.instrument import PerfRecorder
+    from repro.utils.config import PipelineConfig
+
+    def group(*gates):
+        return GateGroup(gates=list(gates))
+
+    x = group(Gate("u3", (0,), (np.pi, 0.0, np.pi)))  # class (2, 12)
+    h = group(Gate("u2", (0,), (0.0, np.pi)))  # class (2, 12)
+    small_a = group(Gate("u3", (0,), (0.3, 0.2, 0.1)))  # class (2, 4)
+    small_b = group(Gate("u3", (0,), (0.5, 0.1, 0.4)))  # class (2, 4)
+    lone = group(Gate("u3", (0,), (1.5, 0.1, 0.4)))  # class (2, 8)
+    frame = group(Gate("u1", (0,), (0.7,)))  # virtual diagonal
+    cx = group(Gate("cx", (0, 1)))  # class (4, 44)
+    cx_rev = group(Gate("cx", (1, 0)))  # class (4, 44)
+
+    config = PipelineConfig()
+    run = config.run.fast()
+    batched_engine = GrapeEngine(config.physics, run.batched())
+
+    # One-shot lane: no MST, so every group is identity-rooted.
+    one_shot = [x, small_a, h, small_b, frame, lone]
+    serial = AcceleratedCompiler(
+        GrapeEngine(config.physics, run), use_mst=False
+    ).compile_uncovered(one_shot)
+    perf = PerfRecorder()
+    batched = AcceleratedCompiler(
+        batched_engine, use_mst=False, perf=perf
+    ).compile_uncovered(one_shot)
+    assert all(r.converged for r in batched.records)
+    assert abs(batched.total_iterations - serial.total_iterations) <= (
+        0.25 * serial.total_iterations
+    )
+    assert "dynamic.solve.batched" in perf.stages
+    assert perf.counters["grape.batched.rounds"] > 0
+
+    # Shared bucketing rule: index 5 is a chain child, which leaves its
+    # class (2, 12) a singleton next to index 0.
+    groups = [x, cx, small_a, frame, lone, h, cx_rev, small_b]
+    args = (groups, range(len(groups)), {5})
+    assert batched_buckets(batched_engine, *args) == [[2, 7], [1, 6]]
+    assert batched_buckets(ModelEngine(config.physics), *args) == []
+    assert batched_buckets(GrapeEngine(config.physics, run), *args) == []

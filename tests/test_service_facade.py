@@ -325,6 +325,18 @@ def test_cmd_batch_unknown_program_clean_error(tmp_path, capsys):
     assert "repro batch:" in err and "nosuchprog" in err
 
 
+def test_cmd_batch_class_parts_needs_grape_engine(tmp_path, capsys):
+    """``--class-parts`` is a GRAPE planning preference: with the default
+    model engine it is a usage error (exit 2), not silently ignored, and
+    no store directory is left behind."""
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exc:
+        cmd_batch(["qft_4", "--store", str(store), "--class-parts", "--json"])
+    assert exc.value.code == 2
+    assert "--class-parts requires --engine grape" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_cmd_batch_table_output(tmp_path, capsys):
     assert (
         cmd_batch(
