@@ -346,7 +346,8 @@ def test_remote_batched_reads(benchmark, tmp_path, remote_mode):
             assert mine is not None and ref is not None
             assert mine.group.key() == ref.group.key()
             assert mine.latency == ref.latency
-        n_get = perf_per_key.counters.get("store.remote.ops.get", 0)
+        # get_key is a one-key get_many frame: one RPC per key.
+        n_get = perf_per_key.counters.get("store.remote.ops.get_many", 0)
         n_frames = perf_batched.counters.get("store.remote.ops.get_many", 0)
         assert n_get == len(keys)
         assert n_frames == 1  # O(shards)==1 here, not O(keys)

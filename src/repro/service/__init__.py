@@ -203,7 +203,7 @@ With ``--workers remote`` the fabric's dispatch decisions live in
 :class:`~repro.service.scheduler.FabricScheduler` (``service/scheduler.py``)
 rather than the accept loop. The flag map::
 
-    repro serve --async --store /data/s --workers remote \\
+    repro serve --port 7000 --store /data/s --workers remote \\
         --parts-per-worker 2 \\      # reservation depth per worker
         --fabric-policy steal \\     # or 'static' (LPT baseline, no steals)
         --max-queue 64               # admission bound on the front door
@@ -249,35 +249,38 @@ fabric ran out of workers entirely and the dispatcher solved in-process.
 Load testing the service (runbook)
 ----------------------------------
 ``repro loadgen`` (:mod:`repro.service.loadgen`) replays declarative
-traffic scenarios against ``repro serve --async`` and turns each run ×
+traffic scenarios against ``repro serve`` and turns each run ×
 repetition into one row of ``run_table.csv`` (see RUN_TABLE_COLUMNS.md
 at the repo root for every column) plus a ``perf.json`` of raw
 evidence::
 
     repro loadgen --scenario smoke --reps 2 --out /tmp/lg
     repro loadgen --scenario smoke-replica-kill \\
-        --gate slo/loadgen-smoke.json --fail-on error
+        --gate slo/smoke-replica-kill.json --fail-on error
     repro loadgen --scenario my-scenario.json   # spec file: Scenario fields
     repro loadgen --chain-study --reps 2        # warm='store' vs 'chain'
 
 *Choosing a scenario*: ``smoke`` is the fast local sanity run (closed
-loop, no subprocess topology beyond the server). ``smoke-replica-kill``
-is the CI chaos gate — a ``w=majority`` replica pair under a 2-worker
-fabric, with the first replica SIGKILLed mid-run and revived with
-anti-entropy; the row must show nonzero ``failovers``/``degraded`` and
-zero ``wrong_answers``/``quorum_failures``. ``soak-mixed`` is the
-nightly long run (open-loop Poisson arrivals, mixed store state, replica
-kill + worker churn + a stalled worker socket). ``burst-shed`` drives a
-bounded admission queue to overload — sheds must be typed, admitted
-requests must all answer. A ``.json`` file whose keys are
+loop, no subprocess topology beyond the server). The CI fleet smokes are
+``warm-hit`` (a batch-warmed sharded store answers with no solve and no
+miss), ``fabric`` (one solve per group through a remote worker and a
+replica pair), ``stall-steal`` (a stalled fabric socket: steals and a
+reassignment, no local fallback), ``burst-shed`` (bursts past a bounded
+admission queue: typed sheds, every admitted request answered) and
+``smoke-replica-kill`` (the first replica SIGKILLed mid-run and revived
+with anti-entropy: nonzero ``failovers``, zero ``quorum_failures``),
+each gated by ``slo/<name>.json``. ``soak-mixed`` is the nightly long
+run (open-loop Poisson arrivals, mixed store state, replica kill +
+worker churn + a stalled worker socket). A run whose fault did not
+happen fails with exit 2 whatever the gate says. A ``.json`` file whose keys are
 :class:`~repro.service.loadgen.Scenario` fields defines a custom
 scenario; unknown fields, unknown mixes, and unresolvable program names
 are refused before anything spawns.
 
 *Reading the gate*: ``--gate slo.json`` holds every row to floors and
 ceilings (``min_throughput_rps``, ``max_p95_latency_ms``,
-``max_error_rate``, ``max_wrong_answers``, ...; the full key table is in
-RUN_TABLE_COLUMNS.md). Exit codes mirror ``repro store audit
+``max_error_rate``, ``max_wrong_answers``, ...: ``min_``/``max_`` of
+any numeric run-table column, see RUN_TABLE_COLUMNS.md). Exit codes mirror ``repro store audit
 --fail-on``: 0 clean or below the gate, else 1/4/5/6 by the worst
 violation's severity (info/warn/error/critical), with 2 the usage error.
 Wrong answers and quorum failures are *critical* — they mean the service
@@ -295,8 +298,8 @@ the gate holds every rep's row independently.
 
 Front door
 ----------
-``repro serve`` is a JSON-lines request loop on stdin/stdout; with
-``--async`` it becomes the asyncio server
+``repro serve`` is the asyncio JSON-lines server on stdin/stdout, or on
+TCP with ``--port``
 (:class:`~repro.service.asyncserve.AsyncCompileServer`): requests from many
 clients are micro-batched within a planning window, solved concurrently in
 executor threads, coalesced across batches, and answered out of order

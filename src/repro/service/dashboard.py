@@ -292,15 +292,22 @@ def render_metrics(snapshot: Dict) -> str:
     """The snapshot as Prometheus text exposition (one scrape's worth)."""
     lines: List[str] = []
 
-    def emit(name: str, help_text: str, kind: str, rows: List) -> None:
+    def emit(
+        name: str, help_text: str, kind: str, rows: List,
+        label: Optional[str] = "target",
+    ) -> None:
+        """One metric family; ``rows`` are (label value, value) pairs, and
+        with ``label=None`` a single (None, value) row prints unlabelled."""
         if not rows:
             return
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
-        for target, value in rows:
-            lines.append(
-                f'{name}{{target="{_escape_label(target)}"}} {value:g}'
+        for key, value in rows:
+            labels = (
+                "" if label is None
+                else f'{{{label}="{_escape_label(key)}"}}'
             )
+            lines.append(f"{name}{labels} {value:g}")
 
     rows = snapshot.get("targets", [])
     emit(
@@ -375,12 +382,11 @@ def render_metrics(snapshot: Dict) -> str:
         )
     fabric = snapshot.get("fabric")
     if fabric is not None:
-        lines.append(
-            "# HELP repro_fabric_up Whether the worker fabric answered "
-            "the last stats poll."
+        emit(
+            "repro_fabric_up",
+            "Whether the worker fabric answered the last stats poll.",
+            "gauge", [(None, 1 if fabric.get("up") else 0)], label=None,
         )
-        lines.append("# TYPE repro_fabric_up gauge")
-        lines.append(f"repro_fabric_up {1 if fabric.get('up') else 0}")
     if fabric is not None and fabric.get("up"):
         for name, kind in (
             ("workers_connected", "gauge"),
@@ -393,18 +399,15 @@ def render_metrics(snapshot: Dict) -> str:
             ("n_local_fallback", "counter"),
         ):
             value = fabric.get(name)
-            if value is None:
-                continue
-            metric = f"repro_fabric_{name}"
-            if kind == "counter":
-                metric += "_total"
-            lines.append(
-                f"# HELP {metric} Fabric scheduler {name} "
-                f"{'since fabric start' if kind == 'counter' else ''}".rstrip()
-                + "."
+            counter = kind == "counter"
+            emit(
+                f"repro_fabric_{name}{'_total' if counter else ''}",
+                f"Fabric scheduler {name}"
+                f"{' since fabric start' if counter else ''}.",
+                kind,
+                [] if value is None else [(None, float(value))],
+                label=None,
             )
-            lines.append(f"# TYPE {metric} {kind}")
-            lines.append(f"{metric} {float(value):g}")
         workers = fabric.get("workers") or {}
         for name, kind in (
             ("queued", "gauge"),
@@ -413,26 +416,20 @@ def render_metrics(snapshot: Dict) -> str:
             ("steals_won", "counter"),
             ("steals_lost", "counter"),
         ):
-            rows_ = [
-                (label, float(row.get(name, 0) or 0))
-                for label, row in sorted(workers.items())
-                if row.get("connected")
-            ]
-            if not rows_:
-                continue
-            metric = f"repro_fabric_worker_{name}"
-            if kind == "counter":
-                metric += "_total"
-            lines.append(f"# HELP {metric} Per-worker scheduler {name}.")
-            lines.append(f"# TYPE {metric} {kind}")
-            for label, value in rows_:
-                lines.append(
-                    f'{metric}{{worker="{_escape_label(label)}"}} {value:g}'
-                )
-    lines.append("# HELP repro_dashboard_polls_total Poll passes completed.")
-    lines.append("# TYPE repro_dashboard_polls_total counter")
-    lines.append(
-        f"repro_dashboard_polls_total {float(snapshot.get('polls', 0)):g}"
+            emit(
+                f"repro_fabric_worker_{name}"
+                f"{'_total' if kind == 'counter' else ''}",
+                f"Per-worker scheduler {name}.", kind,
+                [
+                    (label, float(row.get(name, 0) or 0))
+                    for label, row in sorted(workers.items())
+                    if row.get("connected")
+                ],
+                label="worker",
+            )
+    emit(
+        "repro_dashboard_polls_total", "Poll passes completed.", "counter",
+        [(None, float(snapshot.get("polls", 0)))], label=None,
     )
     return "\n".join(lines) + "\n"
 

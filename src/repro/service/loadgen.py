@@ -2,8 +2,8 @@
 
 Every performance claim before this module came from single-run anecdotes.
 The harness turns "it felt fast" into a **run table**: N concurrent TCP
-clients replay a declarative traffic scenario against ``repro serve
---async``, and every run × repetition becomes one row of ``run_table.csv``
+clients replay a declarative traffic scenario against ``repro serve``,
+and every run × repetition becomes one row of ``run_table.csv``
 (throughput, latency percentiles, solves vs store hits, sheds, failovers,
 quorum failures, steals — see RUN_TABLE_COLUMNS.md at the repo root for
 the full column reference) plus a per-run ``perf.json`` holding the raw
@@ -32,12 +32,22 @@ Scenario anatomy (:class:`Scenario`):
   ``replicas`` (2 spawns a ``w=majority`` replica pair of ``repro store
   serve`` processes).
 * **faults** — mid-run chaos, reusing the patterns proven in
-  ``tests/test_service_scheduler.py`` and the CI chaos-smoke job:
-  ``kill_replica`` (SIGKILL the first replica, revive it later with the
-  anti-entropy loop pointed at the survivor), ``churn_worker`` (SIGKILL
-  a fabric worker, enroll a replacement), ``stall_worker`` (a raw
-  socket enrolls, accepts one part, and never answers until released —
-  the scheduler must steal/reassign around it).
+  ``tests/test_service_scheduler.py``: ``kill_replica`` (SIGKILL the
+  first replica, revive it later with the anti-entropy loop pointed at
+  the survivor), ``churn_worker`` (SIGKILL a fabric worker, enroll a
+  replacement), ``stall_worker`` (a raw socket enrolls, accepts one
+  part, and never answers until released — the scheduler must
+  steal/reassign around it).
+
+**A fault that did not happen fails the run.** A kill whose victim was
+already dead, a revive that never rebound the port, a revived replica
+whose ``keys_digest`` does not converge with the survivor's within
+:data:`CONVERGE_BOUND_S`, a stall that never enrolled, a fault still
+waiting when the measured window closed, a server that stops without
+its ``final_stats`` line, and a worker or replica that does not exit 0
+on a graceful stop: each is recorded in ``perf.json["failures"]`` and
+:func:`run_scenario` raises after writing the row, so a gate cannot
+pass on a run whose chaos never fired.
 
 **Wrong answers** are detected without an oracle: the engines are
 deterministic, so every ``ok`` response for the same program within one
@@ -48,9 +58,11 @@ Responses outside their program's majority signature count as
 **SLO gating** (``repro loadgen --gate slo.json``) evaluates floor/
 ceiling checks over every row and exits in the style of ``repro store
 audit --fail-on``: 0 clean or below the gate, else 1/4/5/6 for a worst
-violation of info/warn/error/critical (wrong answers and quorum
-failures are critical; throughput/latency/error-rate breaches are
-errors; shed-rate breaches warn).
+violation of info/warn/error/critical. The keys are derived, not listed:
+``min_<col>``/``max_<col>`` for every numeric run-table column, severity
+``error`` unless :data:`SLO_SEVERITY` says otherwise (wrong answers and
+quorum failures are critical; shed-rate and request-count breaches
+warn).
 
 The chain-mode study rides the same run table: ``repro loadgen
 --chain-study`` replays the small suite sequentially under
@@ -90,9 +102,16 @@ RUN_TABLE_COLUMNS = (
     "p50_latency_ms", "p95_latency_ms", "p99_latency_ms",
     "mean_latency_ms", "iterations", "solves", "store_hits",
     "store_misses", "coalesced", "failovers", "degraded",
-    "quorum_failures", "steals", "reassignments", "error_rate",
-    "shed_rate",
+    "quorum_failures", "steals", "reassignments", "local_fallbacks",
+    "error_rate", "shed_rate",
 )
+
+#: Run-table columns holding text: the only ones no SLO key can bound.
+TEXT_COLUMNS = ("scenario", "arrival", "store_state")
+
+#: How long a revived replica may take to match the survivor's
+#: ``keys_digest`` before its ``kill_replica`` fault counts as failed.
+CONVERGE_BOUND_S = 30.0
 
 
 # ---------------------------------------------------------------- scenarios
@@ -190,17 +209,41 @@ class Scenario:
 
 #: Named scenarios the CLI accepts by name (`repro loadgen --scenario
 #: smoke`). A JSON file path works too — its keys are Scenario fields.
+#: Each CI fleet smoke is one of these plus its gate `slo/<name>.json`;
+#: tier-1 runs a shortened copy of each against the same gate's
+#: correctness and fault-evidence keys.
 SCENARIOS: Dict[str, Scenario] = {
     # Fast local sanity run: no subprocess topology beyond the server.
     "smoke": Scenario(
         name="smoke", mix="qft-small", arrival="closed", clients=2,
         duration_s=10.0, shards=2, workers=2,
     ),
-    # The CI loadgen-smoke job: 30 s closed loop against a 2-worker
-    # fabric over a w=majority replica pair, with the *first* replica
-    # (the preferred read target, so failovers are visible) killed at
-    # t=6 s and revived 8 s later with anti-entropy pointed at the
-    # survivor. Gated on slo/loadgen-smoke.json.
+    # A store batch-compiled by `repro batch` (4 shards) and then served:
+    # every request must be answered from it, with no solve and no miss.
+    "warm-hit": Scenario(
+        name="warm-hit", mix=[("qft_6", 1.0), ("ex2", 1.0)],
+        arrival="closed", clients=2, duration_s=10.0, store_state="warm",
+        shards=4, workers=2,
+    ),
+    # Two clients racing for one program through a remote worker fabric
+    # over a healthy replica pair: each group is solved once, by the
+    # remote worker, and every later request is a store hit.
+    "fabric": Scenario(
+        name="fabric", mix=[("qft_5", 1.0)], arrival="closed", clients=2,
+        duration_s=10.0, workers=1, fabric=True, replicas=2,
+    ),
+    # A fabric socket that enrolls, takes a part and never answers: the
+    # scheduler must steal its queued part and reassign its in-flight one
+    # when it hangs up, with no local fallback and no request lost.
+    "stall-steal": Scenario(
+        name="stall-steal", mix="qft-spread", arrival="closed", clients=4,
+        duration_s=20.0, workers=2, fabric=True,
+        faults=(FaultSpec("stall_worker", at_s=0.0, duration_s=8.0),),
+    ),
+    # 30 s closed loop against a 2-worker fabric over a w=majority
+    # replica pair, with the *first* replica (the preferred read target,
+    # so failovers are visible) killed at t=6 s and revived 8 s later
+    # with anti-entropy pointed at the survivor.
     "smoke-replica-kill": Scenario(
         name="smoke-replica-kill", mix="qft-small", arrival="closed",
         clients=4, duration_s=30.0, shards=1, workers=2, fabric=True,
@@ -625,7 +668,9 @@ class ScenarioHarness:
     ``perf.json``. The server itself is stopped with SIGTERM — the
     closing ``final_stats`` line it prints (see
     :mod:`repro.service.asyncserve`) is captured into the harness's
-    ``final_stats``.
+    ``final_stats``. Every fault that did not happen, a server stop
+    without that line, and a fleet process that does not exit 0 on a
+    graceful stop land in ``failures``.
     """
 
     def __init__(self, scenario: Scenario, run_dir: str) -> None:
@@ -644,6 +689,11 @@ class ScenarioHarness:
         self.port: Optional[int] = None
         self.final_stats: Optional[Dict] = None
         self.fault_log: List[Dict] = []
+        self.failures: List[str] = []
+        self._names: Dict[subprocess.Popen, str] = {}
+        self._victims: List[subprocess.Popen] = []
+        self._fault_threads: List[Tuple[FaultSpec, threading.Thread]] = []
+        self._window_closed = threading.Event()
         self._stall_release = threading.Event()
         self._log_handles: List[IO] = []
 
@@ -654,11 +704,13 @@ class ScenarioHarness:
         return handle
 
     def _spawn(self, args: Sequence[str], log_name: str) -> subprocess.Popen:
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "repro", *args],
             env=self.env, stdout=subprocess.PIPE,
             stderr=self._log(log_name), text=True,
         )
+        self._names[proc] = log_name
+        return proc
 
     def _start_replica(
         self, index: int, port: int = 0, extra: Sequence[str] = ()
@@ -720,7 +772,7 @@ class ScenarioHarness:
             if scenario.store_state in ("warm", "mixed"):
                 self._warm_store(spec)
 
-            serve = ["serve", "--store", spec, "--async", "--port", "0"]
+            serve = ["serve", "--store", spec, "--port", "0"]
             if scenario.replicas == 1 and scenario.shards > 1:
                 serve += ["--shards", str(scenario.shards)]
             if scenario.fabric:
@@ -744,22 +796,41 @@ class ScenarioHarness:
                         ["worker", "--connect", self.fabric_addr],
                         f"worker-{index}",
                     ))
+                self._await_fabric(scenario.workers)
         except BaseException:
             self._cleanup()
             raise
         return self
 
+    def _await_fabric(self, n_workers: int, timeout_s: float = 60.0) -> None:
+        """Measure an assembled fleet: block until every worker enrolled."""
+        deadline = time.monotonic() + timeout_s
+        while self.fabric_snapshot().get("workers_connected", 0) < n_workers:
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"fabric never assembled {n_workers} worker(s) "
+                    f"within {timeout_s:g} s"
+                )
+            time.sleep(0.1)
+
     # --------------------------------------------------------------- faults
-    def start_faults(self, measure_start: float) -> List[threading.Thread]:
-        threads = []
+    def start_faults(self, measure_start: float) -> None:
         for fault in self.scenario.faults:
             thread = threading.Thread(
                 target=self._run_fault, args=(fault, measure_start),
                 daemon=True,
             )
             thread.start()
-            threads.append(thread)
-        return threads
+            self._fault_threads.append((fault, thread))
+
+    def finish_faults(self) -> None:
+        """Close the measured window and wait for every fault to finish
+        (revive and converge, replace, release)."""
+        self._window_closed.set()
+        for fault, thread in self._fault_threads:
+            thread.join(timeout=fault.duration_s + CONVERGE_BOUND_S + 30.0)
+            if thread.is_alive():
+                self._fail(fault, "still running after the measured window")
 
     def _note(self, fault: FaultSpec, event: str) -> None:
         self.fault_log.append({
@@ -767,25 +838,34 @@ class ScenarioHarness:
             "at_monotonic": time.monotonic(),
         })
 
+    def _fail(self, fault: FaultSpec, event: str) -> None:
+        self._note(fault, event)
+        self.failures.append(f"{fault.kind} at {fault.at_s:g} s: {event}")
+
     def _run_fault(self, fault: FaultSpec, measure_start: float) -> None:
         delay = measure_start + fault.at_s - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        if fault.kind == "kill_replica":
-            self._fault_kill_replica(fault)
-        elif fault.kind == "churn_worker":
-            self._fault_churn_worker(fault)
-        else:
-            self._fault_stall_worker(fault)
+        try:
+            if self._window_closed.wait(max(delay, 0.0)):
+                self._fail(fault, "never fired: the measured window ended first")
+            elif fault.kind == "kill_replica":
+                self._fault_kill_replica(fault)
+            elif fault.kind == "churn_worker":
+                self._fault_churn_worker(fault)
+            else:
+                self._fault_stall_worker(fault)
+        except Exception as exc:  # a fault that crashed did not happen
+            self._fail(fault, f"raised {type(exc).__name__}: {exc}")
 
     def _fault_kill_replica(self, fault: FaultSpec) -> None:
         # Kill replica 0 — the ordered-failover read preference — so the
         # run table's failovers column shows the reads that skipped it.
         victim = self.replica_procs[0]
         if victim is None or victim.poll() is not None:
+            self._fail(fault, "replica-0 was already dead")
             return
         victim.send_signal(signal.SIGKILL)
         victim.wait()
+        self._victims.append(victim)
         self._note(fault, "killed replica-0")
         time.sleep(fault.duration_s)
         port = int(self.replica_addrs[0].rsplit(":", 1)[1])
@@ -801,15 +881,48 @@ class ScenarioHarness:
                 self.replica_procs[0] = proc
                 self.replica_addrs[0] = addr
                 self._note(fault, "revived replica-0 with anti-entropy")
-                return
+                break
             time.sleep(0.25)
-        self._note(fault, "revive failed: port never rebound")
+        else:
+            self._fail(fault, "revive failed: port never rebound")
+            return
+        if self._replicas_converge(CONVERGE_BOUND_S):
+            self._note(fault, "revived replica-0 converged with the survivor")
+        else:
+            self._fail(
+                fault,
+                f"revived replica-0 keys_digest did not match the "
+                f"survivor's within {CONVERGE_BOUND_S:g} s",
+            )
+
+    def _replicas_converge(self, timeout_s: float) -> bool:
+        """Poll every replica's ``keys_digest`` until they all agree."""
+        from repro.service.remote import RemoteStore, RemoteUnavailable
+
+        clients = [RemoteStore(f"remote://{a}") for a in self.replica_addrs]
+        deadline = time.monotonic() + timeout_s
+        try:
+            while time.monotonic() < deadline:
+                try:
+                    digests = {c.fetch_keys_digest()["digest"] for c in clients}
+                except RemoteUnavailable:
+                    digests = set()
+                if len(digests) == 1:
+                    return True
+                time.sleep(0.25)
+            return False
+        finally:
+            for client in clients:
+                client.close()
 
     def _fault_churn_worker(self, fault: FaultSpec) -> None:
         victim = self.worker_procs[0]
-        if victim.poll() is None:
-            victim.send_signal(signal.SIGKILL)
-            victim.wait()
+        if victim.poll() is not None:
+            self._fail(fault, "worker-0 was already dead")
+            return
+        victim.send_signal(signal.SIGKILL)
+        victim.wait()
+        self._victims.append(victim)
         self._note(fault, "killed worker-0")
         time.sleep(fault.duration_s)
         self.worker_procs.append(self._spawn(
@@ -836,8 +949,8 @@ class ScenarioHarness:
                         self._stall_release.wait(fault.duration_s)
                     except socket.timeout:
                         pass  # ...or never get one: idle stall
-        except OSError:
-            self._note(fault, "stall enroll failed (fabric gone?)")
+        except OSError as exc:
+            self._fail(fault, f"stalled worker never enrolled: {exc}")
             return
         self._note(fault, "stalled worker released (disconnect)")
 
@@ -874,8 +987,41 @@ class ScenarioHarness:
                 self.final_stats = payload["final_stats"]
             if time.monotonic() > deadline:
                 break
-        self.server.wait(timeout=timeout_s)
+        code = self.server.wait(timeout=timeout_s)
+        if code != 0 or self.final_stats is None:
+            self.failures.append(
+                f"server stopped with exit {code} and "
+                f"{'a' if self.final_stats else 'no'} final_stats line"
+            )
         return self.final_stats
+
+    def stop_fleet(self, timeout_s: float = 60.0) -> None:
+        """After :meth:`stop_server`: replicas stop on the store
+        protocol's ``shutdown`` verb and workers on the fabric's hang-up.
+        Any of them not exiting 0 is a failure; a fault's victims are
+        skipped."""
+        for proc, addr in zip(self.replica_procs, self.replica_addrs):
+            if proc is None or proc.poll() is not None:
+                continue
+            host, port = addr.rsplit(":", 1)
+            try:
+                with _connect(host, int(port), timeout_s=10.0) as sock:
+                    with sock.makefile("rwb") as stream:
+                        _send_line(stream, {"op": "shutdown"})
+                        stream.readline()
+            except OSError:
+                pass  # the exit code below tells the story
+        for proc in self.worker_procs + self.replica_procs:
+            if proc is None or proc in self._victims:
+                continue
+            try:
+                code = proc.wait(timeout=timeout_s)
+            except subprocess.TimeoutExpired:
+                code = None
+            if code != 0:
+                self.failures.append(
+                    f"{self._names[proc]} exited {code} on a graceful stop"
+                )
 
     def _cleanup(self) -> None:
         self._stall_release.set()
@@ -988,6 +1134,7 @@ def metrics_row(
         "quorum_failures": int(store_delta.get("quorum_failures", 0)),
         "steals": int(fabric_delta.get("n_steals", 0)),
         "reassignments": int(fabric_delta.get("n_reassigned", 0)),
+        "local_fallbacks": int(fabric_delta.get("n_local_fallback", 0)),
         "error_rate": (
             round(traffic.errors / traffic.requests, 6) if traffic.requests else 0.0
         ),
@@ -1010,7 +1157,8 @@ def run_scenario(
 
     Returns the run-table row; also appends it to ``run_table`` (default:
     ``<out_dir>/run_table.csv``) and writes the raw evidence to
-    ``<out_dir>/run_<run>_rep_<rep>/perf.json``.
+    ``<out_dir>/run_<run>_rep_<rep>/perf.json``. Raises ``RuntimeError``
+    after both are written when the harness recorded ``failures``.
     """
     if run_table is None:
         run_table = RunTable(os.path.join(out_dir, "run_table.csv"))
@@ -1030,17 +1178,20 @@ def run_scenario(
         fabric_before = fabric_after = None
         final_stats = None
         fault_log: List[Dict] = []
+        failures: List[str] = []
     else:
         with ScenarioHarness(scenario, run_dir) as harness:
             stats_before = harness.stats()
             fabric_before = harness.fabric_snapshot()
             harness.start_faults(time.monotonic())
             traffic = drive(harness.host, harness.port, scenario)
+            harness.finish_faults()
             stats_after = harness.stats()
             fabric_after = harness.fabric_snapshot()
             final_stats = harness.stop_server()
+            harness.stop_fleet()
             fault_log = harness.fault_log
-        host, port = None, None
+            failures = harness.failures
 
     row = metrics_row(
         scenario, run, rep, traffic,
@@ -1068,9 +1219,15 @@ def run_scenario(
         "fabric_after": fabric_after,
         "final_stats": final_stats,
         "fault_log": fault_log,
+        "failures": failures,
     }
     with open(os.path.join(run_dir, "perf.json"), "w") as handle:
         json.dump(perf, handle, sort_keys=True, indent=2)
+    if failures:
+        raise RuntimeError(
+            f"scenario {scenario.name!r} run {run} rep {rep}: "
+            + "; ".join(failures)
+        )
     return row
 
 
@@ -1151,35 +1308,43 @@ class SLOViolation:
     message: str
 
 
-#: slo.json keys -> (run-table column, direction, severity on breach).
-#: "min_*" are floors (value must be >=), "max_*" ceilings (<=).
-SLO_CHECKS: Dict[str, Tuple[str, str, str]] = {
-    "min_throughput_rps": ("throughput_rps", "min", "error"),
-    "max_p50_latency_ms": ("p50_latency_ms", "max", "error"),
-    "max_p95_latency_ms": ("p95_latency_ms", "max", "error"),
-    "max_p99_latency_ms": ("p99_latency_ms", "max", "error"),
-    "max_mean_latency_ms": ("mean_latency_ms", "max", "error"),
-    "max_error_rate": ("error_rate", "max", "error"),
-    "max_shed_rate": ("shed_rate", "max", "warn"),
-    "min_requests": ("requests", "min", "warn"),
-    "max_wrong_answers": ("wrong_answers", "max", "critical"),
-    "max_quorum_failures": ("quorum_failures", "max", "critical"),
+#: Severity of a breached SLO key, by run-table column; every other
+#: numeric column breaches at "error".
+SLO_SEVERITY: Dict[str, str] = {
+    "shed_rate": "warn",
+    "requests": "warn",
+    "wrong_answers": "critical",
+    "quorum_failures": "critical",
 }
 
 
+def slo_check(key: str) -> Tuple[str, str, str]:
+    """An slo.json key as (column, direction, severity): ``min_<col>`` is
+    a floor (value must be >=), ``max_<col>`` a ceiling (<=), for every
+    numeric run-table column. Anything else is refused loudly (a typo'd
+    gate that silently checks nothing is worse than no gate)."""
+    direction, _, column = key.partition("_")
+    if (
+        direction not in ("min", "max")
+        or column not in RUN_TABLE_COLUMNS
+        or column in TEXT_COLUMNS
+    ):
+        numeric = [c for c in RUN_TABLE_COLUMNS if c not in TEXT_COLUMNS]
+        raise ValueError(
+            f"unknown SLO key {key!r}; known keys: min_<col> or max_<col> "
+            f"for a numeric run-table column: {numeric}"
+        )
+    return column, direction, SLO_SEVERITY.get(column, "error")
+
+
 def load_slo(path: str) -> Dict[str, float]:
-    """Read and validate an slo.json: unknown keys are refused loudly
-    (a typo'd gate that silently checks nothing is worse than no gate)."""
+    """Read and validate an slo.json: every key must pass :func:`slo_check`."""
     with open(path) as handle:
         slo = json.load(handle)
     if not isinstance(slo, dict):
         raise ValueError("slo.json must be a JSON object")
-    unknown = set(slo) - set(SLO_CHECKS)
-    if unknown:
-        raise ValueError(
-            f"unknown SLO key(s) {sorted(unknown)}; known keys: "
-            f"{sorted(SLO_CHECKS)}"
-        )
+    for key in slo:
+        slo_check(key)
     return {key: float(value) for key, value in slo.items()}
 
 
@@ -1191,7 +1356,7 @@ def evaluate_slo(rows: Sequence[Dict], slo: Dict[str, float]) -> List[SLOViolati
     for row in rows:
         row_id = f"{row['scenario']}#run{row['run']}rep{row['rep']}"
         for key, bound in slo.items():
-            column, direction, severity = SLO_CHECKS[key]
+            column, direction, severity = slo_check(key)
             value = float(row[column])
             breached = value < bound if direction == "min" else value > bound
             if breached:
@@ -1226,7 +1391,7 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
         description="Load/soak harness: replay a traffic scenario against "
-                    "repro serve --async, emit run_table.csv + per-run "
+                    "repro serve, emit run_table.csv + per-run "
                     "perf JSON, gate on SLO floors.",
     )
     parser.add_argument(
@@ -1246,7 +1411,7 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
                         help="output directory: run_table.csv + run dirs")
     parser.add_argument(
         "--connect", default=None,
-        help="host:port of an already-running repro serve --async: drive "
+        help="host:port of an already-running repro serve --port: drive "
              "it instead of orchestrating a topology (no fault injection)",
     )
     parser.add_argument(
@@ -1268,6 +1433,9 @@ def cmd_loadgen(argv: Sequence[str]) -> int:
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print the rows (and violations) as JSON")
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        # Zero rows would leave a --gate nothing to check: a clean pass.
+        parser.error("--reps must be >= 1")
 
     if args.chain_study == (args.scenario is not None):
         print("repro loadgen: need exactly one of --scenario / --chain-study",
@@ -1355,7 +1523,7 @@ class InProcessServer:
     games — build a :class:`CompileService`, ``start()`` returns the
     bound TCP port, ``stop()`` drains and joins. The loadgen client side
     (:func:`drive`, :func:`server_stats`) talks to it exactly as it
-    would to a real ``repro serve --async`` process.
+    would to a real ``repro serve --port`` process.
     """
 
     def __init__(self, service, **server_kwargs) -> None:

@@ -6,15 +6,14 @@ One JSON object per line. Requests name a program or carry inline QASM::
     {"id": "r2", "qasm": "OPENQASM 2.0; ...", "program": "mine"}
     {"cmd": "stats"}      # store + service counters
     {"cmd": "quit"}       # drain and close this connection / exit
-    {"cmd": "shutdown"}   # async server only: stop serving entirely
+    {"cmd": "shutdown"}   # stop serving entirely
 
 Responses echo the request id and report coverage, latency, and timing::
 
     {"id": "r1", "ok": true, "program": "qft_10", "coverage_rate": 0.91, ...}
     {"id": "r2", "ok": false, "error": "..."}
 
-The synchronous ``repro serve`` loop answers strictly in request order. The
-asyncio front door (``repro serve --async``) micro-batches requests across
+The asyncio front door (``repro serve``) micro-batches requests across
 connections and answers **out of order** — whichever batch finishes first
 responds first — so the request id is the only way to correlate a response
 with its request. A request that arrives without an id is assigned one

@@ -9,11 +9,6 @@ their pulses on another (``--store remote://host:port``).
 
 Wire protocol (requests carry ``op``; responses carry ``ok``)::
 
-    {"op": "get",  "key": "<hex canonical key>"}
-        -> {"ok": true, "entry": "<b64>"|null}      # hit/miss counted
-    {"op": "peek", "key": "<hex>"}                  # no accounting
-        -> {"ok": true, "entry": "<b64>"|null}
-    {"op": "put",  "entry": "<b64>", "flush": true} -> {"ok": true}
     {"op": "get_many", "keys": ["<hex>", ...]}      # 1..MAX_BATCH_KEYS keys
         -> {"ok": true, "entries": ["<b64>"|null, ...]}  # aligned with keys
     {"op": "get_many", "keys": [...], "peek": true} # same, no accounting
@@ -603,18 +598,6 @@ class StoreServer:
     def _dispatch(self, op: str, request: Dict) -> Dict:
         store = self.store
         if op == "ping":
-            return {"ok": True}
-        if op == "get":
-            entry = store.get_key(bytes.fromhex(request["key"]))
-            return {"ok": True, "entry": encode_entry(entry) if entry else None}
-        if op == "peek":
-            entry = store.peek_key(bytes.fromhex(request["key"]))
-            return {"ok": True, "entry": encode_entry(entry) if entry else None}
-        if op == "put":
-            store.put(
-                decode_entry(request["entry"]),
-                flush=bool(request.get("flush", True)),
-            )
             return {"ok": True}
         if op == "get_many":
             keys = [bytes.fromhex(k) for k in _batch_list(request, "keys")]

@@ -262,7 +262,7 @@ def test_run_grape_batch_validates_inputs():
 
 
 # ------------------------------------------------------------------- e2e
-def _qft16_records(run):
+def _qft16_records(run, perf=None, backend="thread"):
     from repro.core.cache import PulseLibrary
     from repro.core.engines import GrapeEngine
     from repro.core.pipeline import AccQOC
@@ -274,7 +274,9 @@ def _qft16_records(run):
     engine = GrapeEngine(config.physics, run)
     planner = CompilePlanner(AccQOC(config, engine=engine))
     plan = planner.plan([build_named("qft_16")], PulseLibrary(), 2)
-    executor = WorkerPoolExecutor(engine, backend="thread", n_workers=2)
+    executor = WorkerPoolExecutor(
+        engine, backend=backend, n_workers=2, perf=perf
+    )
     records = executor.run(plan, PulseLibrary())
     return plan, records
 
@@ -285,14 +287,23 @@ def test_qft16_batched_engine_meets_target_and_iteration_parity():
     and total iterations stay within the documented 25% tolerance (the
     1e-9 kernel reassociation can tip individual line searches, which is
     why exact bit-parity is only promised by the serial oracle itself)."""
+    from repro.perf import PerfRecorder
     from repro.utils.config import PipelineConfig
 
     run = PipelineConfig().run.fast()
     plan_s, serial = _qft16_records(run)
-    plan_b, batched = _qft16_records(run.batched())
+    perf = PerfRecorder()
+    plan_b, batched = _qft16_records(run.batched(), perf, backend="process")
+    # the batched lane really ran: a solve.batched stage and >= 1 bucket
+    assert any(name.endswith("solve.batched") for name in perf.stages)
+    assert sum(
+        v for k, v in perf.counters.items()
+        if k.endswith("grape.batched.buckets")
+    ) >= 1
     assert [g.key() for g in plan_s.uncovered] == [
         g.key() for g in plan_b.uncovered
     ]
+    assert len(serial) == len(batched) > 0
     assert all(r.converged for r in serial)
     assert all(r.converged for r in batched)
     iters_s = sum(r.iterations for r in serial)

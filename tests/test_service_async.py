@@ -308,20 +308,37 @@ def test_async_concurrent_clients_solve_less_than_sequential_cold(tmp_path):
 
 
 def test_stdio_mode_batches_piped_requests(tmp_path):
+    """``repro serve`` without --port: a bad line and stats answer inline,
+    quit stops reading, and the duplicate request solves nothing beyond
+    one cold qft_4. Asserted by id: responses arrive out of order."""
     import io
+
+    cold = _service(tmp_path, name="ref").submit_batch([qft(4)])
 
     async def main():
         service = _service(tmp_path, shards=2)
         server = AsyncCompileServer(service, window_s=0.05, max_batch=8)
-        stdin = io.StringIO(
-            json.dumps({"id": "a", "name": "qft_4"}) + "\n"
-            + json.dumps({"id": "b", "name": "qft_4"}) + "\n"
-        )
+        stdin = io.StringIO("\n".join([
+            json.dumps({"id": "a", "name": "qft_4"}),
+            json.dumps({"id": "b", "name": "qft_4"}),
+            "not json",
+            json.dumps({"id": "s", "cmd": "stats"}),
+            json.dumps({"id": "q", "cmd": "quit"}),
+            json.dumps({"id": "never", "name": "qft_4"}),
+        ]) + "\n")
         stdout = io.StringIO()
         code = await server.serve_stdio(stdin=stdin, stdout=stdout)
         assert code == 0
-        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert {r["id"] for r in responses} == {"a", "b"}
-        assert all(r["ok"] for r in responses)
+        return [json.loads(line) for line in stdout.getvalue().splitlines()]
 
-    _run(main())
+    by_id = {r["id"]: r for r in _run(main())}
+    assert len(by_id) == 5 and "never" not in by_id  # quit ends reading
+    a, b = by_id.pop("a"), by_id.pop("b")
+    assert a["ok"] and b["ok"]
+    solved = {r["batch"]: r["compiled_groups"] for r in (a, b)}
+    assert sum(solved.values()) == cold.n_compiled
+    stats, bye = by_id.pop("s"), by_id.pop("q")
+    assert stats["ok"] and "store" in stats
+    assert bye["bye"]
+    (bad,) = by_id.values()
+    assert not bad["ok"]

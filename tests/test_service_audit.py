@@ -12,6 +12,9 @@ reported, not repaired. The dashboard serves the same numbers over
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import urllib.request
 
 import pytest
@@ -203,7 +206,7 @@ def test_shard_imbalance_and_non_converged_ratios(tmp_path):
 
 
 # ------------------------------------------------------------ remote walks
-def test_replica_divergence_then_unreachable(tmp_path, entries):
+def test_replica_divergence_then_unreachable(tmp_path, entries, capsys):
     store_a = _seeded(tmp_path, entries, "ra")
     store_b = PulseStore(str(tmp_path / "rb"))  # empty: diverged
     server_a = StoreServer(store_a).start()
@@ -220,6 +223,12 @@ def test_replica_divergence_then_unreachable(tmp_path, entries):
         assert len(replicas) == 2
         assert {r["entries"] for r in replicas} == {len(entries), 0}
         assert exit_code_for(findings) == 5
+        # The CLI gate: divergence (error) fails --fail-on error with
+        # exit 5; a critical-only gate lets the same audit exit 0.
+        audit = ["audit", "--store", spec, "--json", "--fail-on"]
+        assert cmd_store(audit + ["error"]) == 5
+        assert cmd_store(audit + ["critical"]) == 0
+        capsys.readouterr()
 
         # Heal by hand and the same spec audits clean.
         store_b.put_many(entries)
@@ -377,6 +386,7 @@ def test_dashboard_serves_stats_metrics_and_findings(tmp_path, entries):
 
         metrics = fetch("/metrics").decode()
         assert 'repro_store_up{target="shard-0/replica-0"} 1' in metrics
+        assert 'repro_store_up{target="shard-0/replica-1"} 1' in metrics
         assert "repro_store_entries" in metrics
         assert "repro_store_puts_total" in metrics
         assert "repro_dashboard_polls_total" in metrics
@@ -391,6 +401,22 @@ def test_dashboard_serves_stats_metrics_and_findings(tmp_path, entries):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             fetch("/no-such-page")
         assert excinfo.value.code == 404
+
+        # `repro dashboard` itself announces its address and exits 0 on
+        # SIGINT (Ctrl-C), the way an operator stops it.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "dashboard", "--store", spec,
+             "--port", "0", "--interval", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            assert "dashboard" in json.loads(proc.stdout.readline())
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
     finally:
         dash.stop()
         server_a.stop()

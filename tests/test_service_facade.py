@@ -1,15 +1,18 @@
 """CompileService end to end: sharing, warm store, coalescing, front door."""
 
+import asyncio
 import io
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.engines import GrapeEngine
 from repro.service import CompileService, PulseStore
-from repro.service.frontdoor import cmd_batch, collect_programs, serve_loop
+from repro.service.asyncserve import AsyncCompileServer
+from repro.service.frontdoor import cmd_batch, collect_programs
 from repro.service.protocol import (
     ProtocolError,
     parse_request,
@@ -261,31 +264,66 @@ def test_request_circuit_from_qasm():
 
 
 # ----------------------------------------------------------------- frontdoor
+class _RepliesFirstStdin:
+    """stdin of a client that sends its ``stats`` line only after reading
+    ``wait_for`` answers, as an interactive client would: the front door
+    answers commands inline, so a stats line piped ahead of the solves
+    would report the store before they land."""
+
+    def __init__(self, lines, stdout, wait_for, timeout_s=60.0):
+        self._lines = list(lines)
+        self._stdout = stdout
+        self._wait_for = wait_for
+        self._timeout_s = timeout_s
+
+    def readline(self):
+        if not self._lines:
+            return ""
+        line = self._lines.pop(0)
+        if '"stats"' in line:
+            deadline = time.monotonic() + self._timeout_s
+            while len(self._stdout.getvalue().splitlines()) < self._wait_for:
+                assert time.monotonic() < deadline, "answers never arrived"
+                time.sleep(0.01)
+        return line + "\n"
+
+
 def test_serve_loop_end_to_end(tmp_path):
+    """``repro serve`` over stdio, one request per batch and one batch at a
+    time: the repeat of a program is a full store hit, a bad line is
+    answered, stats sees the stored pulses, quit ends reading. Asserted by
+    id: command answers and compile answers interleave."""
     service = _service(tmp_path)
-    stdin = io.StringIO(
-        "\n".join(
-            [
-                '{"id": "r1", "name": "qft_4"}',
-                '{"id": "r1b", "name": "qft_4"}',
-                "not json",
-                '{"id": "s", "cmd": "stats"}',
-                '{"id": "q", "cmd": "quit"}',
-                '{"id": "never", "name": "qft_4"}',
-            ]
-        )
-    )
     stdout = io.StringIO()
-    assert serve_loop(service, stdin, stdout) == 0
-    lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
-    assert len(lines) == 5  # the post-quit request is never answered
-    first, second, bad, stats, bye = lines
+    stdin = _RepliesFirstStdin(
+        [
+            '{"id": "r1", "name": "qft_4"}',
+            '{"id": "r1b", "name": "qft_4"}',
+            "not json",
+            '{"id": "s", "cmd": "stats"}',
+            '{"id": "q", "cmd": "quit"}',
+            '{"id": "never", "name": "qft_4"}',
+        ],
+        stdout,
+        wait_for=3,  # r1, r1b and the bad line
+    )
+    server = AsyncCompileServer(service, window_s=0.0, max_batch=1, max_inflight=1)
+    code = asyncio.run(
+        asyncio.wait_for(server.serve_stdio(stdin=stdin, stdout=stdout), 60)
+    )
+    assert code == 0
+    by_id = {r["id"]: r for r in map(json.loads, stdout.getvalue().splitlines())}
+    assert len(by_id) == 5 and "never" not in by_id  # quit ends reading
+    first, second = by_id.pop("r1"), by_id.pop("r1b")
     assert first["ok"] and first["coverage_rate"] == 0.0
     assert second["ok"] and second["coverage_rate"] == 1.0
     assert second["compiled_groups"] == 0
-    assert not bad["ok"]
+    assert second["batch"] == first["batch"] + 1
+    stats, bye = by_id.pop("s"), by_id.pop("q")
     assert stats["ok"] and stats["entries"] > 0
     assert bye["bye"]
+    (bad,) = by_id.values()
+    assert not bad["ok"]
 
 
 def test_collect_programs(tmp_path):
@@ -316,6 +354,7 @@ def test_cmd_batch_json_twice(tmp_path, capsys):
     assert second["n_trivial"] == 0
     assert second["batch_coverage_rate"] == 1.0
     assert second["store"]["hit_rate"] == 1.0
+    assert second["store"]["puts"] == 0
 
 
 def test_cmd_batch_unknown_program_clean_error(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Loadgen internals: percentiles, arrival determinism, spec validation,
-SLO gate exit codes, the run-table writer, and a miniature end-to-end run
-against an in-process async server (2 clients, request-budgeted)."""
+SLO gate exit codes, the run-table writer, a miniature end-to-end run
+against an in-process async server (2 clients, request-budgeted), and a
+shortened copy of every CI fleet scenario through the subprocess harness."""
 
 import json
 import random
+import re
 import signal
 import subprocess
 import sys
-import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.service.loadgen import (
     Scenario,
     SLOViolation,
     TrafficResult,
+    cmd_loadgen,
     drive,
     evaluate_slo,
     gate_exit_code,
@@ -31,10 +35,23 @@ from repro.service.loadgen import (
     run_scenario,
     scenario_from_spec,
     server_stats,
+    slo_check,
 )
 from repro.service.service import CompileService
 from repro.service.store import PulseStore
 from repro.utils.config import PipelineConfig
+
+REPO = Path(__file__).resolve().parents[1]
+#: The fleet scenarios CI gates, read from the ci.yml matrix so tier-1
+#: runs a miniature of exactly those.
+CI_SCENARIOS = re.search(
+    r"scenario: \[(.*)\]", (REPO / ".github/workflows/ci.yml").read_text()
+).group(1).replace(" ", "").split(",")
+#: Volume, throughput and latency floors need CI's full-length window.
+FULL_LENGTH_ONLY = {
+    "requests", "throughput_rps", "p50_latency_ms", "p95_latency_ms",
+    "p99_latency_ms", "mean_latency_ms",
+}
 
 
 # ------------------------------------------------------------- percentiles
@@ -195,6 +212,30 @@ def test_slo_unknown_key_refused(tmp_path):
         load_slo(str(slo_path))
 
 
+def test_slo_keys_derive_from_numeric_columns(tmp_path):
+    """Any numeric column takes a min_/max_ bound; text columns do not."""
+    slo_path = tmp_path / "slo.json"
+    slo_path.write_text(json.dumps({"min_steals": 1, "max_local_fallbacks": 0}))
+    slo = load_slo(str(slo_path))
+    violations = evaluate_slo([_row(steals=0, local_fallbacks=0)], slo)
+    assert [(v.key, v.severity) for v in violations] == [("min_steals", "error")]
+    assert slo_check("max_quorum_failures")[2] == "critical"
+    slo_path.write_text(json.dumps({"min_scenario": 1}))
+    with pytest.raises(ValueError, match="unknown SLO key"):
+        load_slo(str(slo_path))
+
+
+def test_cli_refuses_zero_reps(capsys):
+    """--reps 0 would gate zero rows and pass having run nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cmd_loadgen([
+            "--scenario", "smoke", "--reps", "0",
+            "--gate", str(REPO / "slo" / "smoke-replica-kill.json"),
+        ])
+    assert exc.value.code == 2
+    assert "--reps must be >= 1" in capsys.readouterr().err
+
+
 def test_slo_every_rep_is_held_to_the_gate():
     slo = {"min_throughput_rps": 5.0}  # the default _row runs at 10 rps
     rows = [_row(rep=0), _row(rep=1, throughput_rps=1.0)]
@@ -301,7 +342,7 @@ def test_serve_async_reports_final_stats_on_sigterm(tmp_path):
         [
             sys.executable, "-m", "repro", "serve",
             "--store", str(tmp_path / "store"),
-            "--async", "--port", "0",
+            "--port", "0",
             "--backend", "serial", "--workers", "1",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -325,3 +366,28 @@ def test_serve_async_reports_final_stats_on_sigterm(tmp_path):
     assert len(final) == 1
     assert final[0]["final_stats"]["served_requests"] == 0
     assert "store" in final[0]["final_stats"]
+
+
+# ------------------------------------------------------- CI fleet scenarios
+@pytest.mark.parametrize("name", CI_SCENARIOS)
+def test_ci_scenario_miniature_meets_its_gate(tmp_path, name):
+    """Each CI fleet smoke, shortened to 5 s through the real subprocess
+    harness, holds its SLO file's correctness and fault-evidence keys.
+    run_scenario raises when a fault did not happen."""
+    scenario = SCENARIOS[name]
+    k = min(1.0, 5.0 / scenario.duration_s)
+    mini = replace(
+        scenario, duration_s=scenario.duration_s * k,
+        faults=tuple(
+            replace(f, at_s=f.at_s * k, duration_s=f.duration_s * k)
+            for f in scenario.faults
+        ),
+    )
+    row = run_scenario(mini, str(tmp_path))
+    slo = load_slo(str(REPO / "slo" / f"{name}.json"))
+    held = {
+        key: bound for key, bound in slo.items()
+        if slo_check(key)[0] not in FULL_LENGTH_ONLY
+    }
+    assert "max_wrong_answers" in held
+    assert evaluate_slo([row], held) == []

@@ -420,6 +420,7 @@ def test_stalled_worker_loses_queued_parts_to_steals(tmp_path, config):
     assert executor.n_steals >= 1  # the queued reservation moved
     assert executor.n_reassigned >= 1  # the in-flight part was rescued
     assert executor.n_local_fallback == 0
+    assert stats["parts_queued"] == stats["parts_in_flight"] == 0
     assert batch.n_compiled == reference.n_compiled
     assert _stored_pulses(service.store) == _stored_pulses(serial.store)
     # the stats verb tells the same story, per worker

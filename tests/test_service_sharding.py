@@ -273,8 +273,11 @@ def test_sharded_and_single_store_produce_bit_identical_pulses(tmp_path):
     assert pulses[1] == pulses[4]
 
 
-def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
-    """The CI smoke contract, sharded: run two, second is 100% store hits."""
+def test_service_batch_twice_on_sharded_store_full_hit(tmp_path, capsys):
+    """The CI smoke contract, sharded: run two, second is 100% store hits,
+    and ``repro store stats`` accounts every entry to its shard."""
+    from repro.service.frontdoor import cmd_store
+
     root = str(tmp_path / "s")
     config = PipelineConfig(policy_name="map2b4l")
     programs = [qft(5), build_named("4gt4-v0")]
@@ -282,6 +285,7 @@ def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
         open_store(root, shards=4), config, backend="serial", n_workers=2
     ).submit_batch(programs)
     assert cold.n_compiled > 0
+    assert cold.n_compiled + cold.n_trivial == cold.n_unique
     warm_store = open_store(root)
     warm = CompileService(
         warm_store, config, backend="serial", n_workers=2
@@ -290,6 +294,14 @@ def test_service_batch_twice_on_sharded_store_full_hit(tmp_path):
     assert warm.n_trivial == 0
     assert warm.coverage_rate == 1.0
     assert warm_store.stats.puts == 0
+    assert warm_store.stats.misses == 0 < warm_store.stats.hits
+    assert os.path.isfile(os.path.join(root, "shardmap.json"))
+    assert cmd_store(["stats", "--store", root, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["n_shards"] == 4
+    assert stats["entries"] == cold.n_unique
+    assert sum(s["entries"] for s in stats["shards"]) == stats["entries"]
+    assert cmd_store(["stats", "--store", root]) == 0  # human tables render
 
 
 # ---------------------------------------------------------------- hygiene

@@ -91,18 +91,28 @@ def test_non_json_and_opless_lines_are_answered(served):
         client.close()
 
 
-def test_truncated_base64_frame_is_answered_not_dropped(served):
+def test_truncated_base64_frame_is_answered_not_dropped(served, tmp_path):
     server, store = served
     client = _Client(server)
     try:
-        # A valid put payload with its frame cut mid-base64: the server
-        # must answer a correlatable bad-request, not kill the connection.
-        reply = client.ask({"op": "put", "entry": "eyJrZXkiOiAi", "flush": True})
+        # A put_many frame cut mid-base64: the server must answer a
+        # correlatable bad-request, not kill the connection.
+        reply = client.ask({"op": "put_many", "entries": ["eyJrZXkiOiAi"]})
         assert reply["ok"] is False
         assert reply["kind"] == "bad-request"
-        assert reply["op"] == "put"
+        assert reply["op"] == "put_many"
         # ... same for garbage that is not base64 at all
-        reply = client.ask({"op": "put", "entry": "!!not-base64!!"})
+        reply = client.ask({"op": "put_many", "entries": ["!!not-base64!!"]})
+        assert reply["ok"] is False and reply["kind"] == "bad-request"
+        # A batch whose second frame is truncated writes nothing, not
+        # the valid first entry.
+        from repro.service.storeserver import encode_entry
+
+        feeder = PulseStore(str(tmp_path / "other"))
+        valid = encode_entry(feeder.peek_key(_populate(tmp_path, feeder)[0]))
+        reply = client.ask(
+            {"op": "put_many", "entries": [valid, "eyJrZXkiOiAi"]}
+        )
         assert reply["ok"] is False and reply["kind"] == "bad-request"
         assert len(store) == 0  # nothing half-written
         assert client.ask({"op": "ping"})["ok"] is True
